@@ -10,9 +10,8 @@ Run from the repository root:
 
     python demos/03_baselines_and_eval.py
 """
-from hgoe import (CorpusDocument, RankingParams, build_inverted, index_corpus,
-                  mean_average_precision, precision_at_k, rws, search_bm25,
-                  search_tfidf)
+from hgoe import (CorpusDocument, RankingParams, build_inverted, evaluate_run,
+                  index_corpus, rws, search_bm25, search_tfidf)
 from hgoe.trec import format_run_lines
 
 CORPUS = [
@@ -60,19 +59,15 @@ def main():
     }
 
     print(f"{'engine':<8} {'map':>8} {'p@5':>8}")
-    runs = {}
+    results = {}
     for name, search in engines.items():
         run = {tid: [doc for doc, _ in search(query)] for tid, query in TOPICS}
-        runs[name] = run
-        result = mean_average_precision(run, QRELS)
-        relevant = {tid: {d for d, g in QRELS[tid].items() if g > 0}
-                    for tid in QRELS}
-        p5 = sum(precision_at_k(run[tid], relevant[tid], 5) for tid in run)
-        print(f"{name:<8} {result.mean:8.4f} {p5 / len(run):8.4f}")
+        result, _, p5 = evaluate_run(run, QRELS, 5)
+        results[name] = result
+        print(f"{name:<8} {result.mean:8.4f} {p5:8.4f}")
 
     print("\nper topic average precision:")
-    for name, run in runs.items():
-        result = mean_average_precision(run, QRELS)
+    for name, result in results.items():
         cells = "  ".join(f"{tid}={ap:.3f}"
                           for tid, ap in sorted(result.per_topic.items()))
         print(f"  {name:<8} {cells}")

@@ -18,6 +18,7 @@ from .evaluation import (
     average_precision,
     complete_and_rank,
     complete_rankings,
+    evaluate_run,
     jaccard,
     kendalls_w,
     mann_whitney_u,
@@ -77,6 +78,7 @@ __all__ = [
     "complete_and_rank",
     "complete_rankings",
     "compute_weights",
+    "evaluate_run",
     "extend_context",
     "extend_synonyms",
     "index_corpus",

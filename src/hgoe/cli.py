@@ -14,21 +14,30 @@ import json
 import sys
 import time
 from dataclasses import replace
+from typing import Callable
 
 from . import baseline, evaluation, trec
-from .errors import ConfigError, FormatError, HgoeError, InputError
+from .errors import ConfigError, HgoeError, InputError
 from .hypergraph import Hypergraph, Variant
 from .indexer import index_corpus, load_corpus, load_embeddings, load_synonyms
-from .ranking import RankingParams, run_timed, rws
+from .ranking import Ranking, RankingParams, run_timed, rws
 
 VARIANT_CHOICES = [v.value for v in Variant]
 ENGINE_CHOICES = ["rws", "tfidf", "bm25"]
 
+# The keys a --config file may hold, shared by index and sweep, each with the
+# value a subcommand gets when neither its flag nor the file sets one.
 _CONFIG_KEYS = {
-    "corpus", "variant", "variants", "lexicon", "embeddings", "topics", "qrels",
-    "out", "length", "repeats", "rng_seed", "k", "tag",
-    "node_fatigue", "edge_fatigue", "node_fatigue_grid", "edge_fatigue_grid",
+    "corpus": None, "variant": Variant.BASE.value, "variants": [Variant.BASE.value],
+    "lexicon": None, "embeddings": None, "topics": None, "qrels": None, "out": None,
+    "length": 2, "repeats": 1000, "rng_seed": 0, "k": 10, "tag": None,
+    "node_fatigue": None, "edge_fatigue": None,
+    "node_fatigue_grid": None, "edge_fatigue_grid": None,
 }
+_INT_CONFIG_KEYS = {"length", "repeats", "rng_seed", "k", "node_fatigue", "edge_fatigue"}
+
+# A search ranks a query, keeping at most --k entries; baselines ignore params.
+Search = Callable[[str, RankingParams], Ranking]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (HgoeError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (HgoeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -128,57 +137,75 @@ def _add_walk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rng-seed", type=int, default=0)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    return config
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill config keys no flag gave from --config, checking every value, else defaults."""
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        unknown = set(config) - set(_CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+    for key, default in _CONFIG_KEYS.items():
+        if key in config:
+            config[key] = _config_value(args.config, key, config[key])
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, config.get(key, default))
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _config_value(path: str, key: str, value):
+    """A config value as the type its flag parses to; ConfigError if it has none."""
+    try:
+        if key in _INT_CONFIG_KEYS:
+            return int(value)
+        if key == "variant":
+            return Variant(value).value
+        if key == "variants" and isinstance(value, list) and value:
+            return [Variant(v).value for v in value]
+        if key.endswith("_grid"):
+            return value  # _parse_grid checks a grid, from the file or from a flag
+        if key != "variants" and isinstance(value, str):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{path}: bad value for {key!r}: {value!r}")
 
 
-def _build_graph(corpus_path: str, variant: Variant, lexicon_path, embeddings_path) -> Hypergraph:
-    documents = load_corpus(corpus_path)
-    lexicon = load_synonyms(lexicon_path) if lexicon_path else None
-    embeddings = load_embeddings(embeddings_path) if embeddings_path else None
-    return index_corpus(documents, variant, lexicon, embeddings)
+def _inputs(args: argparse.Namespace):
+    """The corpus, lexicon and embeddings the flags name; the last two are optional."""
+    documents = load_corpus(args.corpus)
+    lexicon = load_synonyms(args.lexicon) if args.lexicon else None
+    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
+    return documents, lexicon, embeddings
+
+
+def _read_topics(path: str) -> list[tuple[str, str]]:
+    topics = trec.read_topics(path)
+    if not topics:
+        raise InputError(f"{path}: no topics")
+    return topics
 
 
 # -- index ------------------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    corpus_path = _setting(args, config, "corpus")
-    out_path = _setting(args, config, "out")
-    variant = Variant(_setting(args, config, "variant", Variant.BASE.value))
-    if not corpus_path:
+    _merge_config(args)
+    if not args.corpus:
         raise ConfigError("index needs --corpus")
-    if not out_path:
+    if not args.out:
         raise ConfigError("index needs --out")
+    variant = Variant(args.variant)
     started = time.perf_counter_ns()
-    graph = _build_graph(
-        corpus_path, variant,
-        _setting(args, config, "lexicon"), _setting(args, config, "embeddings"),
-    )
-    graph.save(out_path)
+    documents, lexicon, embeddings = _inputs(args)
+    graph = index_corpus(documents, variant, lexicon, embeddings)
+    graph.save(args.out)
     elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-    print(f"index.out={out_path}")
+    print(f"index.out={args.out}")
     print(f"index.variant={variant.value}")
     print(f"index.documents={graph.doc_count}")
     print(f"index.nodes={len(graph.nodes)}")
@@ -189,22 +216,59 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- engines ------------------------------------------------------------------
+
+def _params(
+    args: argparse.Namespace, node_fatigue: int | None = None, edge_fatigue: int | None = None
+) -> RankingParams:
+    """The walk flags as RankingParams; a fatigue passed here beats its flag."""
+    return RankingParams(
+        walk_length=args.length,
+        repeats=args.repeats,
+        node_fatigue=args.node_fatigue if node_fatigue is None else node_fatigue,
+        edge_fatigue=args.edge_fatigue if edge_fatigue is None else edge_fatigue,
+        rng_seed=args.rng_seed,
+    )
+
+
+def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
+    """Searches for the engines in `names` (both baselines if either is named).
+
+    k is checked here for every engine, and a corpus two engines share loads once.
+    """
+    k = args.k
+    if k < 1:
+        raise InputError("k must be at least 1")
+    searches: dict[str, Search] = {}
+    documents = None
+    if "rws" in names:
+        if args.index:
+            graph = Hypergraph.load(args.index)
+        elif args.corpus:
+            documents, lexicon, embeddings = _inputs(args)
+            variant = Variant(args.variant or Variant.BASE.value)
+            graph = index_corpus(documents, variant, lexicon, embeddings)
+        else:
+            raise ConfigError("the rws engine needs --index or --corpus")
+        searches["rws"] = lambda query, params: Ranking(rws(graph, query, params).entries[:k])
+    if set(names) - {"rws"}:
+        if not args.corpus:
+            raise ConfigError("the tfidf and bm25 engines need --corpus")
+        if documents is None:
+            documents = load_corpus(args.corpus)
+        inverted = baseline.build_inverted(documents)
+        searches["tfidf"] = lambda query, params: baseline.search_tfidf(inverted, query, k)
+        searches["bm25"] = lambda query, params: baseline.search_bm25(inverted, query, k)
+    return searches
+
+
 # -- search -------------------------------------------------------------------
-
-def _search_graph(args: argparse.Namespace) -> Hypergraph:
-    if args.index:
-        return Hypergraph.load(args.index)
-    if args.corpus:
-        variant = Variant(args.variant or Variant.BASE.value)
-        return _build_graph(args.corpus, variant, args.lexicon, args.embeddings)
-    raise ConfigError("the rws engine needs --index or --corpus")
-
 
 def _search_topics(args: argparse.Namespace) -> list[tuple[str, str]]:
     if args.topics and args.query:
         raise ConfigError("use --query or --topics, not both")
     if args.topics:
-        return trec.read_topics(args.topics)
+        return _read_topics(args.topics)
     if args.query:
         return [(args.topic_id, args.query)]
     raise ConfigError("search needs --query or --topics")
@@ -212,36 +276,14 @@ def _search_topics(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 def cmd_search(args: argparse.Namespace) -> int:
     topics = _search_topics(args)
-    k = args.k
-    if k < 1:
-        raise InputError("k must be at least 1")
-    if args.engine == "rws":
-        graph = _search_graph(args)
-        params = RankingParams(
-            walk_length=args.length,
-            repeats=args.repeats,
-            node_fatigue=args.node_fatigue,
-            edge_fatigue=args.edge_fatigue,
-            rng_seed=args.rng_seed,
-        )
-        total_ns = 0
-        run: dict[str, list[tuple[str, float]]] = {}
-        for topic_id, query in topics:
-            ranking, elapsed = run_timed(graph, query, params)
-            total_ns += elapsed
-            run[topic_id] = ranking.entries[:k]
-    else:
-        if not args.corpus:
-            raise ConfigError(f"the {args.engine} engine needs --corpus")
-        index = baseline.build_inverted(load_corpus(args.corpus))
-        search = baseline.search_tfidf if args.engine == "tfidf" else baseline.search_bm25
-        total_ns = 0
-        run = {}
-        for topic_id, query in topics:
-            started = time.perf_counter_ns()
-            ranking = search(index, query, k)
-            total_ns += time.perf_counter_ns() - started
-            run[topic_id] = ranking.entries
+    search = _engines(args, [args.engine])[args.engine]
+    params = _params(args)
+    total_ns = 0
+    run: dict[str, list[tuple[str, float]]] = {}
+    for topic_id, query in topics:
+        started = time.perf_counter_ns()
+        run[topic_id] = search(query, params).entries
+        total_ns += time.perf_counter_ns() - started
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             trec.write_run(fh, run, args.tag)
@@ -255,22 +297,16 @@ def cmd_search(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise InputError("k must be at least 1")
     run = trec.read_run(args.run)
     qrels = trec.read_qrels(args.qrels)
     doc_run = {topic: [doc for doc, _ in entries] for topic, entries in run.items()}
-    result = evaluation.mean_average_precision(doc_run, qrels)
+    result, per_topic_p, mean_p = evaluation.evaluate_run(doc_run, qrels, args.k)
     p_label = f"p_at_{args.k}"
-    per_topic_p: dict[str, float] = {}
-    for topic_id in sorted(result.per_topic):
-        relevant = {d for d, g in qrels[topic_id].items() if g > 0}
-        per_topic_p[topic_id] = evaluation.precision_at_k(doc_run[topic_id], relevant, args.k)
-        print(f"topic.{topic_id}.ap={result.per_topic[topic_id]:.6f}")
+    for topic_id, ap in result.per_topic.items():
+        print(f"topic.{topic_id}.ap={ap:.6f}")
         print(f"topic.{topic_id}.{p_label}={per_topic_p[topic_id]:.6f}")
     for topic_id in result.skipped_unknown:
         print(f"warning: topic {topic_id!r} has no judgements, skipped", file=sys.stderr)
-    mean_p = sum(per_topic_p.values()) / len(per_topic_p) if per_topic_p else 0.0
     print(f"map={result.mean:.6f}")
     print(f"{p_label}={mean_p:.6f}")
     print(f"topics.evaluated={len(result.per_topic)}")
@@ -282,8 +318,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             p_label: mean_p,
             "k": args.k,
             "per_topic": {
-                t: {"ap": result.per_topic[t], p_label: per_topic_p[t]}
-                for t in sorted(result.per_topic)
+                t: {"ap": ap, p_label: per_topic_p[t]} for t, ap in result.per_topic.items()
             },
             "excluded_no_relevant": result.excluded_no_relevant,
             "skipped_unknown": result.skipped_unknown,
@@ -318,43 +353,24 @@ def _parse_grid(value, name: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    corpus_path = _setting(args, config, "corpus")
-    topics_path = _setting(args, config, "topics")
-    qrels_path = _setting(args, config, "qrels")
-    if not corpus_path or not topics_path or not qrels_path:
+    _merge_config(args)
+    if not args.corpus or not args.topics or not args.qrels:
         raise ConfigError("sweep needs --corpus, --topics and --qrels")
-    variants = [Variant(v) for v in _setting(args, config, "variants", [Variant.BASE.value])]
-    lexicon_path = _setting(args, config, "lexicon")
-    embeddings_path = _setting(args, config, "embeddings")
-    length = int(_setting(args, config, "length", 2))
-    repeats = int(_setting(args, config, "repeats", 1000))
-    rng_seed = int(_setting(args, config, "rng_seed", 0))
-    k = int(_setting(args, config, "k", 10))
-    nf_grid = _parse_grid(_setting(args, config, "node_fatigue_grid"), "node fatigue grid")
-    ef_grid = _parse_grid(_setting(args, config, "edge_fatigue_grid"), "edge fatigue grid")
-    out_dir = _setting(args, config, "out")
-
-    topics = trec.read_topics(topics_path)
-    qrels = trec.read_qrels(qrels_path)
-    documents = load_corpus(corpus_path)
-    lexicon = load_synonyms(lexicon_path) if lexicon_path else None
-    embeddings = load_embeddings(embeddings_path) if embeddings_path else None
+    variants = [Variant(v) for v in args.variants]
+    nf_grid = _parse_grid(args.node_fatigue_grid, "node fatigue grid")
+    ef_grid = _parse_grid(args.edge_fatigue_grid, "edge fatigue grid")
+    topics = _read_topics(args.topics)
+    qrels = trec.read_qrels(args.qrels)
+    documents, lexicon, embeddings = _inputs(args)
 
     rows = []
     timing_rows = []
-    p_label = f"p_at_{k}"
+    p_label = f"p_at_{args.k}"
     for variant in variants:
         graph = index_corpus(documents, variant, lexicon, embeddings)
         for node_fatigue in nf_grid:
             for edge_fatigue in ef_grid:
-                params = RankingParams(
-                    walk_length=length,
-                    repeats=repeats,
-                    node_fatigue=node_fatigue,
-                    edge_fatigue=edge_fatigue,
-                    rng_seed=rng_seed,
-                )
+                params = _params(args, node_fatigue, edge_fatigue)
                 doc_run: dict[str, list[str]] = {}
                 total_steps = 0
                 total_ns = 0
@@ -363,90 +379,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     doc_run[topic_id] = ranking.doc_ids()
                     total_steps += ranking.total_steps
                     total_ns += elapsed
-                result = evaluation.mean_average_precision(doc_run, qrels)
-                p_values = []
-                for topic_id in result.per_topic:
-                    relevant = {d for d, g in qrels[topic_id].items() if g > 0}
-                    p_values.append(evaluation.precision_at_k(doc_run[topic_id], relevant, k))
-                mean_p = sum(p_values) / len(p_values) if p_values else 0.0
-                rows.append({
-                    "variant": variant.value,
-                    "node_fatigue": node_fatigue,
-                    "edge_fatigue": edge_fatigue,
-                    "map": result.mean,
-                    p_label: mean_p,
-                    "total_steps": total_steps,
-                })
-                timing_rows.append({
-                    "variant": variant.value,
-                    "node_fatigue": node_fatigue,
-                    "edge_fatigue": edge_fatigue,
-                    "avg_topic_ms": total_ns / len(topics) / 1e6,
-                    "total_ms": total_ns / 1e6,
-                })
+                result, _, mean_p = evaluation.evaluate_run(doc_run, qrels, args.k)
+                cell = {"variant": variant.value, "node_fatigue": node_fatigue,
+                        "edge_fatigue": edge_fatigue}
+                rows.append({**cell, "map": result.mean, p_label: mean_p,
+                             "total_steps": total_steps})
+                timing_rows.append({**cell, "avg_topic_ms": total_ns / len(topics) / 1e6,
+                                    "total_ms": total_ns / 1e6})
     for row in rows:
-        print(
-            f"sweep variant={row['variant']} node_fatigue={row['node_fatigue']}"
-            f" edge_fatigue={row['edge_fatigue']} map={row['map']:.6f}"
-            f" {p_label}={row[p_label]:.6f} total_steps={row['total_steps']}"
-        )
+        print("sweep" + "".join(f" {key}={_cell(value)}" for key, value in row.items()))
     for row in timing_rows:
-        print(
-            f"time.sweep variant={row['variant']} node_fatigue={row['node_fatigue']}"
-            f" edge_fatigue={row['edge_fatigue']} avg_topic_ms={row['avg_topic_ms']:.3f}"
-            f" total_ms={row['total_ms']:.3f}",
-            file=sys.stderr,
-        )
-    if out_dir:
-        _write_csv(f"{out_dir}/sweep.csv", rows,
-                   ["variant", "node_fatigue", "edge_fatigue", "map", p_label, "total_steps"])
-        _write_csv(f"{out_dir}/sweep_timing.csv", timing_rows,
-                   ["variant", "node_fatigue", "edge_fatigue", "avg_topic_ms", "total_ms"])
+        print("time.sweep" + "".join(f" {key}={_cell(value, 3)}" for key, value in row.items()),
+              file=sys.stderr)
+    if args.out:
+        _write_csv(f"{args.out}/sweep.csv", rows)
+        _write_csv(f"{args.out}/sweep_timing.csv", timing_rows)
     return 0
 
 
-def _write_csv(path: str, rows: list[dict], fieldnames: list[str]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """Write rows that share the first row's keys, which make the header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
-            writer.writerow({key: _csv_cell(row[key]) for key in fieldnames})
+            writer.writerow({key: _cell(value) for key, value in row.items()})
 
 
-def _csv_cell(value):
+def _cell(value, digits: int = 6):
     if isinstance(value, float):
-        return f"{value:.6f}"
+        return f"{value:.{digits}f}"
     return value
 
 
 # -- compare ------------------------------------------------------------------
 
-def _make_system(engine: str, graph, inverted, args, node_fatigue: int, edge_fatigue: int):
-    k = args.k
-    if engine == "rws":
-        if graph is None:
-            raise ConfigError("an rws side needs --index or --corpus")
-        base_params = RankingParams(
-            walk_length=args.length,
-            repeats=args.repeats,
-            node_fatigue=node_fatigue,
-            edge_fatigue=edge_fatigue,
-            rng_seed=0,
-        )
-
-        def run_rws(query: str, seed: int) -> list[str]:
-            ranking = rws(graph, query, replace(base_params, rng_seed=seed))
-            return [doc_id for doc_id, _ in ranking.entries[:k]]
-
-        return run_rws
-    if inverted is None:
-        raise ConfigError(f"a {engine} side needs --corpus")
-    search = baseline.search_tfidf if engine == "tfidf" else baseline.search_bm25
-
-    def run_baseline(query: str, seed: int) -> list[str]:
-        return [doc_id for doc_id, _ in search(inverted, query, k).entries]
-
-    return run_baseline
+def _system(search: Search, params: RankingParams) -> evaluation.System:
+    """A search as compare runs it: each run's seed replaces params.rng_seed."""
+    return lambda query, seed: search(query, replace(params, rng_seed=seed)).doc_ids()
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -463,10 +433,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not shared:
             raise InputError("the two runs share no topics")
         topics = [(topic_id, topic_id) for topic_id in shared]
-        lists_a = {t: [d for d, _ in run_a[t]] for t in shared}
-        lists_b = {t: [d for d, _ in run_b[t]] for t in shared}
-        system_a = lambda query, seed: lists_a[query]  # noqa: E731
-        system_b = lambda query, seed: lists_b[query]  # noqa: E731
+        system_a = lambda topic_id, seed: [d for d, _ in run_a[topic_id]]  # noqa: E731
+        system_b = lambda topic_id, seed: [d for d, _ in run_b[topic_id]]  # noqa: E731
         repetitions = 1
     else:
         if not (args.engine_a and args.engine_b):
@@ -475,27 +443,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError("system-mode compare needs --topics")
         if args.repetitions < 1:
             raise InputError("repetitions must be at least 1")
-        topics = trec.read_topics(args.topics)
-        graph = None
-        if "rws" in (args.engine_a, args.engine_b):
-            graph = _search_graph(args)
-        inverted = None
-        if "tfidf" in (args.engine_a, args.engine_b) or "bm25" in (args.engine_a, args.engine_b):
-            if not args.corpus:
-                raise ConfigError("baseline sides need --corpus")
-            inverted = baseline.build_inverted(load_corpus(args.corpus))
-        nf = args.node_fatigue
-        ef = args.edge_fatigue
-        system_a = _make_system(
-            args.engine_a, graph, inverted, args,
-            nf if args.node_fatigue_a is None else args.node_fatigue_a,
-            ef if args.edge_fatigue_a is None else args.edge_fatigue_a,
-        )
-        system_b = _make_system(
-            args.engine_b, graph, inverted, args,
-            nf if args.node_fatigue_b is None else args.node_fatigue_b,
-            ef if args.edge_fatigue_b is None else args.edge_fatigue_b,
-        )
+        topics = _read_topics(args.topics)
+        searches = _engines(args, [args.engine_a, args.engine_b])
+        system_a = _system(searches[args.engine_a],
+                           _params(args, args.node_fatigue_a, args.edge_fatigue_a))
+        system_b = _system(searches[args.engine_b],
+                           _params(args, args.node_fatigue_b, args.edge_fatigue_b))
         repetitions = args.repetitions
     report = evaluation.repeated_comparison(
         system_a, system_b, topics, repetitions, base_seed=args.rng_seed

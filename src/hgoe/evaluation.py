@@ -74,6 +74,25 @@ def mean_average_precision(
     return MapResult(mean, per_topic, excluded, skipped)
 
 
+def evaluate_run(
+    run: dict[str, Sequence[str]], qrels: dict[str, dict[str, int]], k: int
+) -> tuple[MapResult, dict[str, float], float]:
+    """MAP of a run, plus P@k per evaluated topic and its mean.
+
+    P@k is taken over the topics MAP averages: judged topics with at least
+    one relevant document. The mean is 0.0 when no topic was evaluated.
+    """
+    if k < 1:
+        raise InputError("k must be at least 1")
+    result = mean_average_precision(run, qrels)
+    p_at_k: dict[str, float] = {}
+    for topic_id in result.per_topic:
+        relevant = {doc_id for doc_id, grade in qrels[topic_id].items() if grade > 0}
+        p_at_k[topic_id] = precision_at_k(run[topic_id], relevant, k)
+    mean_p = sum(p_at_k.values()) / len(p_at_k) if p_at_k else 0.0
+    return result, p_at_k, mean_p
+
+
 def _positions(ranking: Sequence[str], universe: Sequence[str]) -> dict[str, int]:
     present = set(ranking)
     if len(present) != len(ranking):

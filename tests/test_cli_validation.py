@@ -1,0 +1,87 @@
+"""Bad input to the command line interface ends in exit code 2 and one
+"error:" line, never in a traceback."""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from hgoe import ConfigError, cli
+
+CORPUS = (
+    '{"id": "d1", "text": "solar panels power the grid", "links": ["Solar Power"]}\n'
+    '{"id": "d2", "text": "wind turbines power the grid", "links": ["Wind Power"]}\n'
+)
+
+
+@pytest.fixture()
+def workspace(tmp_path):
+    (tmp_path / "corpus.jsonl").write_text(CORPUS, encoding="utf-8")
+    (tmp_path / "topics.tsv").write_text("t1\tsolar power\n", encoding="utf-8")
+    (tmp_path / "empty.tsv").write_text("\n", encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text("t1 0 d1 1\n", encoding="utf-8")
+    return tmp_path
+
+
+def test_search_with_no_topics_exits_2(workspace, capsys):
+    assert cli.main([
+        "search", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "empty.tsv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no topics" in err
+
+
+def test_sweep_with_no_topics_exits_2(workspace, capsys):
+    assert cli.main([
+        "sweep", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "empty.tsv"), "--qrels", str(workspace / "qrels.txt"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no topics" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("index", "variant", "nope"),
+    ("sweep", "variants", "base"),
+    ("sweep", "repeats", "lots"),
+])
+def test_bad_config_value_is_a_config_error(workspace, capsys, command, key, value):
+    config = workspace / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(workspace / "corpus.jsonl"),
+        "topics": str(workspace / "topics.tsv"),
+        "qrels": str(workspace / "qrels.txt"),
+        "out": str(workspace / "out.hgoe") if command == "index" else str(workspace),
+        key: value,
+    }), encoding="utf-8")
+    argv = [command, "--config", str(config)]
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(ConfigError, match=key):
+        args.handler(args)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["index", "search", "sweep"])
+def test_non_utf8_corpus_exits_2(workspace, capsys, command):
+    bad = workspace / "latin1.jsonl"
+    bad.write_bytes(b'{"id": "d1", "text": "caf\xff"}\n')
+    argv = {
+        "index": ["index", "--corpus", str(bad), "--out", str(workspace / "x.hgoe")],
+        "search": ["search", "--corpus", str(bad), "--query", "cafe"],
+        "sweep": ["sweep", "--corpus", str(bad), "--topics", str(workspace / "topics.tsv"),
+                  "--qrels", str(workspace / "qrels.txt")],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("engine_b", ["rws", "bm25"])
+def test_compare_rejects_k_below_1_for_every_engine(workspace, capsys, engine_b):
+    assert cli.main([
+        "compare", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "topics.tsv"),
+        "--engine-a", "rws", "--engine-b", engine_b, "--repeats", "10", "--k", "0",
+    ]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from hgoe import (
     average_precision,
     complete_and_rank,
     complete_rankings,
+    evaluate_run,
     jaccard,
     kendalls_w,
     mann_whitney_u,
@@ -76,6 +77,19 @@ def test_mean_average_precision_empty():
     result = mean_average_precision({}, {})
     assert result.mean == 0.0
     assert result.per_topic == {}
+
+
+def test_evaluate_run_takes_precision_over_the_map_topics():
+    run = {"t1": ["a", "b"], "t2": ["x", "a"], "t3": ["a"], "t4": ["a"]}
+    qrels = {"t1": {"a": 1, "b": 0}, "t2": {"a": 2}, "t3": {"a": 0}}
+    result, p_at_k, mean_p = evaluate_run(run, qrels, 2)
+    assert result == mean_average_precision(run, qrels)
+    assert p_at_k == {"t1": 0.5, "t2": 0.5}
+    assert mean_p == 0.5
+    _, p_at_k, mean_p = evaluate_run({"t3": ["a"]}, qrels, 1)
+    assert (p_at_k, mean_p) == ({}, 0.0)
+    with pytest.raises(InputError):
+        evaluate_run({}, {}, 0)  # k is checked even with no topic to score
 
 
 # -- ranking completion ---------------------------------------------------------
