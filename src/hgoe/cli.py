@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (HgoeError, OSError, UnicodeDecodeError) as exc:
+    except (HgoeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -141,7 +141,7 @@ def _merge_config(args: argparse.Namespace) -> None:
     """Fill config keys no flag gave from --config, checking every value, else defaults."""
     config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with trec.open_text(args.config) as fh:
             try:
                 config = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -182,6 +182,12 @@ def _inputs(args: argparse.Namespace):
     lexicon = load_synonyms(args.lexicon) if args.lexicon else None
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     return documents, lexicon, embeddings
+
+
+def _check_k(k: int) -> int:
+    if k < 1:
+        raise InputError("k must be at least 1")
+    return k
 
 
 def _read_topics(path: str) -> list[tuple[str, str]]:
@@ -236,9 +242,7 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
 
     k is checked here for every engine, and a corpus two engines share loads once.
     """
-    k = args.k
-    if k < 1:
-        raise InputError("k must be at least 1")
+    k = _check_k(args.k)
     searches: dict[str, Search] = {}
     documents = None
     if "rws" in names:
@@ -356,6 +360,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _merge_config(args)
     if not args.corpus or not args.topics or not args.qrels:
         raise ConfigError("sweep needs --corpus, --topics and --qrels")
+    _check_k(args.k)
     variants = [Variant(v) for v in args.variants]
     nf_grid = _parse_grid(args.node_fatigue_grid, "node fatigue grid")
     ef_grid = _parse_grid(args.edge_fatigue_grid, "edge fatigue grid")

@@ -4,7 +4,12 @@ Nodes are terms or entities. Hyperedges connect node sets and are either
 undirected (one member set) or directed (a tail set and a head set). The
 graph keeps a dense integer id space for nodes and edges, an incidence map
 from node id to (edge id, role) pairs, and corpus statistics used for
-weighting. Directed hyperedges are traversable from tail to head only.
+weighting.
+
+Freezing checks the incidence map against the edges and, in the same
+O(sum of edge sizes) pass, builds the walk table: for each node, the ids of
+the edges a walk can leave it by (`out_edges`). A step over an undirected
+edge reaches any other member; a directed edge is traversed tail to head.
 
 Binary index format (version 1, integers little-endian, node and edge ids
 implicit from record order):
@@ -35,7 +40,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .errors import FormatError, InputError, InvariantError
 
@@ -97,6 +102,11 @@ class Hyperedge:
     def directed(self) -> bool:
         return bool(self.tail or self.head)
 
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """Nodes a step over this edge can reach: the head, or the members."""
+        return self.head or self.members
+
 
 # Which node kinds each edge kind may touch, as (member kinds, tail kinds, head kinds).
 _KIND_RULES: dict[EdgeKind, tuple] = {
@@ -122,7 +132,7 @@ class Hypergraph:
         self._edge_index: dict[tuple, int] = {}
         self._doc_edges: dict[str, int] = {}
         self._frozen = False
-        self._adjacency: dict[int, list[tuple[int, tuple[int, ...]]]] | None = None
+        self._out_edges: list[tuple[int, ...]] = []
 
     # -- construction -----------------------------------------------------
 
@@ -217,93 +227,46 @@ class Hypergraph:
         edge_id = len(self.edges)
         self.edges.append(Hyperedge(edge_id, kind, members, tail, head, doc_id))
         self._edge_index[key] = edge_id
-        for m in members:
-            self.incidence[m].add((edge_id, Role.MEMBER))
-        for n in tail:
-            self.incidence[n].add((edge_id, Role.TAIL))
-        for n in head:
-            self.incidence[n].add((edge_id, Role.HEAD))
+        for role, ids in zip(Role, (members, tail, head)):
+            for n in ids:
+                self.incidence[n].add((edge_id, role))
         if doc_id is not None:
             self._doc_edges[doc_id] = edge_id
         return edge_id
 
     # -- traversal --------------------------------------------------------
 
-    def _edge_options(self, node_id: int) -> list[tuple[int, tuple[int, ...]]]:
-        """Per-edge target lists reachable from node_id, edge id ascending."""
-        options = []
-        for edge_id, role in sorted(self.incidence.get(node_id, ())):
-            edge = self.edges[edge_id]
-            if edge.directed:
-                if role != Role.TAIL:
-                    continue
-                targets = tuple(h for h in edge.head if h != node_id)
-            else:
-                targets = tuple(m for m in edge.members if m != node_id)
-            if targets:
-                options.append((edge_id, targets))
-        return options
+    def out_edges(self, node_id: int) -> tuple[int, ...]:
+        """Ids of the edges a walk can leave node_id by, ascending.
 
-    def transition_options(
-        self,
-        node_id: int,
-        excluded_edges: Collection[int] = (),
-        excluded_nodes: Collection[int] = (),
-    ) -> list[tuple[int, Collection[int]]]:
-        """Eligible transitions grouped by edge.
-
-        Returns (edge id, target ids) pairs for every traversable edge that
-        is not excluded and still has at least one non-excluded target other
-        than the source node. Order is deterministic: edges ascending by id,
-        targets ascending by id.
+        These are the undirected edges holding node_id and at least one
+        other member, and the directed edges holding node_id in their tail.
+        A step reaches one of the edge's `targets` other than node_id.
         """
-        if not 0 <= node_id < len(self.nodes):
-            raise InputError(f"unknown node id {node_id}")
-        if self._adjacency is not None:
-            base = self._adjacency.get(node_id, [])
-        else:
-            base = self._edge_options(node_id)
-        if not excluded_edges and not excluded_nodes:
-            return base
-        filtered = []
-        for edge_id, targets in base:
-            if edge_id in excluded_edges:
-                continue
-            kept = [t for t in targets if t not in excluded_nodes]
-            if kept:
-                filtered.append((edge_id, kept))
-        return filtered
-
-    def eligible_transitions(
-        self,
-        node_id: int,
-        excluded_edges: Collection[int] = (),
-        excluded_nodes: Collection[int] = (),
-    ) -> list[tuple[int, int]]:
-        """Flat (edge id, target id) pairs; see transition_options for rules."""
-        pairs = []
-        for edge_id, targets in self.transition_options(node_id, excluded_edges, excluded_nodes):
-            for target in targets:
-                pairs.append((edge_id, target))
-        return pairs
+        if 0 <= node_id < len(self._out_edges):
+            return self._out_edges[node_id]
+        if not self._frozen:
+            raise InvariantError("graph must be frozen before walking")
+        raise InputError(f"unknown node id {node_id}")
 
     # -- freezing ---------------------------------------------------------
 
     def freeze(self) -> "Hypergraph":
-        """Validate invariants, build the walk adjacency cache, lock the graph."""
+        """Validate invariants, build the walk table, lock the graph."""
         if self._frozen:
             return self
         rebuilt: dict[int, set[tuple[int, Role]]] = {n.node_id: set() for n in self.nodes}
+        out_edges: list[list[int]] = [[] for _ in self.nodes]
         doc_edges = 0
         for edge in self.edges:
             if edge.kind is EdgeKind.DOCUMENT:
                 doc_edges += 1
-            for m in edge.members:
-                rebuilt[m].add((edge.edge_id, Role.MEMBER))
-            for n in edge.tail:
-                rebuilt[n].add((edge.edge_id, Role.TAIL))
-            for n in edge.head:
-                rebuilt[n].add((edge.edge_id, Role.HEAD))
+            if edge.tail or len(edge.members) > 1:
+                for n in edge.tail or edge.members:
+                    out_edges[n].append(edge.edge_id)
+            for role, ids in zip(Role, (edge.members, edge.tail, edge.head)):
+                for n in ids:
+                    rebuilt[n].add((edge.edge_id, role))
         if rebuilt != self.incidence:
             raise InvariantError("incidence map does not match edge topology")
         if doc_edges != len(self._doc_edges):
@@ -317,7 +280,7 @@ class Hypergraph:
         if self.variant is Variant.WEIGHTED:
             if any(n.weight is None for n in self.nodes) or any(e.weight is None for e in self.edges):
                 raise InvariantError("weighted graph has unweighted elements")
-        self._adjacency = {n.node_id: self._edge_options(n.node_id) for n in self.nodes}
+        self._out_edges = [tuple(ids) for ids in out_edges]
         self._frozen = True
         return self
 

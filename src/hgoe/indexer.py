@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InputError, InternalError
 from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant
+from .trec import open_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -45,7 +46,7 @@ def load_corpus(path: str) -> list[CorpusDocument]:
     """Read a .jsonl corpus, validating ids, field types and non-emptiness."""
     documents = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -76,7 +77,7 @@ def load_corpus(path: str) -> list[CorpusDocument]:
 def load_synonyms(path: str) -> list[tuple[str, ...]]:
     """Read a synonym lexicon: one synset per line, labels tab-separated."""
     synsets = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -93,7 +94,7 @@ def load_synonyms(path: str) -> list[tuple[str, ...]]:
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
     """Read word2vec text format: header "count dim", then "word v1 .. vd"."""
     table: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError(f"{path}:1: header must be 'count dim'")

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import hashlib
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .hypergraph import EdgeKind, Hypergraph, NodeKind, Role, Variant
+from .hypergraph import EdgeKind, Hyperedge, Hypergraph, NodeKind, Variant
 from .indexer import tokenize
 
 StepListener = Callable[[int, int, int], None]
@@ -130,8 +132,8 @@ def map_query_to_seeds(graph: Hypergraph, query: str) -> SeedSet:
             per_term[term] = frozenset()
             continue
         entities: set[int] = set()
-        for edge_id, role in graph.incidence.get(node_id, ()):
-            if role is Role.TAIL and graph.edges[edge_id].kind is EdgeKind.CONTAINED_IN:
+        for edge_id in graph.out_edges(node_id):
+            if graph.edges[edge_id].kind is EdgeKind.CONTAINED_IN:
                 entities.update(graph.edges[edge_id].head)
         per_term[term] = frozenset(entities) if entities else frozenset((node_id,))
     seeds = tuple(sorted(set().union(*per_term.values()) if per_term else ()))
@@ -153,26 +155,42 @@ def random_walk(
     node is not a visit. The walk ends early when no eligible transition
     remains.
     """
-    if not 0 <= start < len(graph.nodes):
-        raise InputError(f"unknown start node {start}")
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     nodes = graph.nodes
+    out_edges = graph.out_edges
     visited_edges: list[int] = []
     visited_nodes: list[int] = []
     current = start
     for _ in range(length):
-        options = graph.transition_options(current, fatigue.edges, fatigue.nodes)
+        options = out_edges(current)
+        fatigued = fatigue.nodes
+        if fatigue.edges or fatigued:
+            options = [
+                edge_id for edge_id in options
+                if edge_id not in fatigue.edges and _has_target(edges[edge_id], current, fatigued)
+            ]
         if not options:
             break
         if weighted:
-            pick = _cumulative_pick([edges[eid].weight for eid, _ in options], float(rng.random()))
-            edge_id, targets = options[pick]
-            pick = _cumulative_pick([nodes[t].weight for t in targets], float(rng.random()))
-            target = targets[pick]
+            weights = [edges[e].weight for e in options]
+            edge_id = options[_cumulative_pick(weights, float(rng.random()))]
         else:
-            edge_id, targets = options[int(rng.integers(len(options)))]
-            target = targets[int(rng.integers(len(targets)))]
+            edge_id = options[int(rng.integers(len(options)))]
+        edge = edges[edge_id]
+        if weighted or fatigued or edge.head:
+            targets = [t for t in edge.targets if t != current and t not in fatigued]
+            if weighted:
+                weights = [nodes[t].weight for t in targets]
+                target = targets[_cumulative_pick(weights, float(rng.random()))]
+            else:
+                target = targets[int(rng.integers(len(targets)))]
+        else:
+            # undirected, nothing fatigued: members are sorted, so the k-th member
+            # other than the source is members[k] below it and members[k + 1] above
+            members = edge.members
+            k = int(rng.integers(len(members) - 1))
+            target = members[k] if members[k] < current else members[k + 1]
         visited_edges.append(edge_id)
         visited_nodes.append(target)
         fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
@@ -182,17 +200,18 @@ def random_walk(
     return visited_edges, visited_nodes, len(visited_edges)
 
 
+def _has_target(edge: Hyperedge, source: int, fatigued: dict[int, int]) -> bool:
+    """True when a step over edge can still reach an unfatigued node other than source."""
+    for node in edge.targets:
+        if node != source and node not in fatigued:
+            return True
+    return False
+
+
 def _cumulative_pick(weights: Sequence[float], u: float) -> int:
-    total = 0.0
-    for w in weights:
-        total += w
-    x = u * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            return i
-    return len(weights) - 1
+    """The first index whose running weight sum exceeds u times the total."""
+    cumulative = list(accumulate(weights))
+    return min(bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
 
 
 def rws(

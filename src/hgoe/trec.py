@@ -6,9 +6,20 @@ two-column tab-separated "topicId<TAB>query" file.
 """
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 from .errors import FormatError, InputError
+
+
+@contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text input; bytes that are not UTF-8 raise FormatError naming path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not valid UTF-8") from exc
 
 
 def format_run_lines(
@@ -30,7 +41,7 @@ def write_run(out: TextIO, run: dict[str, Sequence[tuple[str, float]]], tag: str
 def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
     """Parse a run file into topic -> [(doc id, score)] in rank order."""
     staged: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -59,7 +70,7 @@ def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
 def read_qrels(path: str) -> dict[str, dict[str, int]]:
     """Parse relevance judgements into topic -> {doc id: grade}."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -84,7 +95,7 @@ def read_topics(path: str) -> list[tuple[str, str]]:
     """Parse a topics file into (topic id, query) pairs in file order."""
     topics: list[tuple[str, str]] = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

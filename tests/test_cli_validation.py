@@ -74,7 +74,39 @@ def test_non_utf8_corpus_exits_2(workspace, capsys, command):
                   "--qrels", str(workspace / "qrels.txt")],
     }[command]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("reader", ["lexicon", "embeddings", "topics", "qrels", "run", "config"])
+def test_non_utf8_input_names_its_file(workspace, capsys, reader):
+    bad = workspace / f"bad-{reader}.txt"
+    bad.write_bytes(b"t1\tcaf\xff\n")
+    corpus, topics, qrels, out = (
+        str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "x.hgoe")
+    )
+    argv = {
+        "lexicon": ["index", "--corpus", corpus, "--lexicon", str(bad), "--out", out],
+        "embeddings": ["index", "--corpus", corpus, "--embeddings", str(bad), "--out", out],
+        "topics": ["search", "--corpus", corpus, "--topics", str(bad)],
+        "qrels": ["sweep", "--corpus", corpus, "--topics", topics, "--qrels", str(bad)],
+        "run": ["evaluate", "--run", str(bad), "--qrels", qrels],
+        "config": ["sweep", "--config", str(bad)],
+    }[reader]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
+
+
+def test_sweep_checks_k_before_indexing(workspace, capsys, monkeypatch):
+    def index_corpus(*args, **kwargs):
+        raise AssertionError("sweep indexed a corpus before checking --k")
+
+    monkeypatch.setattr(cli, "index_corpus", index_corpus)
+    assert cli.main([
+        "sweep", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "topics.tsv"), "--qrels", str(workspace / "qrels.txt"),
+        "--k", "0",
+    ]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine_b", ["rws", "bm25"])

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 
 from hgoe import (
     EdgeKind,
+    FatigueTable,
     FormatError,
     Hypergraph,
     InputError,
     InvariantError,
     NodeKind,
+    RankingParams,
     Role,
     Variant,
+    random_walk,
 )
+from hgoe.ranking import make_stream
 
 import graphgen
 
@@ -97,20 +101,38 @@ def test_kind_constraints():
         g.add_edge(EdgeKind.SYNONYM, members=[a, 99])  # unknown node
 
 
+def one_step_reach(graph, node, fatigue_nodes=(), fatigue_edges=(), streams=64):
+    """Every (edge, target) pair a one-step walk from node takes over `streams` seeds."""
+    reached = set()
+    for seed in range(streams):
+        fatigue = FatigueTable()
+        fatigue.nodes = dict.fromkeys(fatigue_nodes, 5)
+        fatigue.edges = dict.fromkeys(fatigue_edges, 5)
+        edges, nodes, _ = random_walk(graph, node, 1, fatigue, RankingParams(),
+                                      make_stream(seed, "reach"))
+        reached.update(zip(edges, nodes))
+    return sorted(reached)
+
+
 def test_transitions_undirected_edge():
     g, a, b, c, e = small_graph()
     edge = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c], doc_id="d1")
     g.freeze()
-    assert g.eligible_transitions(a) == [(edge, b), (edge, c)]
-    assert g.transition_options(b) == [(edge, (a, c))]
+    assert g.out_edges(a) == g.out_edges(b) == g.out_edges(c) == (edge,)
+    assert g.edges[edge].targets == (a, b, c)
+    assert one_step_reach(g, a) == [(edge, b), (edge, c)]
+    assert one_step_reach(g, b) == [(edge, a), (edge, c)]
 
 
 def test_transitions_directed_edge_tail_to_head_only():
     g, a, b, c, e = small_graph()
     edge = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
     g.freeze()
-    assert g.eligible_transitions(a) == [(edge, e)]
-    assert g.eligible_transitions(e) == []
+    assert g.out_edges(a) == g.out_edges(b) == (edge,)
+    assert g.out_edges(e) == ()
+    assert g.edges[edge].targets == (e,)
+    assert one_step_reach(g, a) == [(edge, e)]
+    assert one_step_reach(g, e) == []
 
 
 def test_transitions_respect_exclusions():
@@ -118,20 +140,31 @@ def test_transitions_respect_exclusions():
     e1 = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c], doc_id="d1")
     e2 = g.add_edge(EdgeKind.SYNONYM, members=[a, c])
     g.freeze()
-    assert g.transition_options(a, excluded_edges={e1}) == [(e2, [c])]
-    assert g.transition_options(a, excluded_nodes={c}) == [(e1, [b])]
-    assert g.transition_options(a, excluded_edges={e1}, excluded_nodes={c}) == []
+    assert g.out_edges(a) == (e1, e2)
+    assert one_step_reach(g, a) == [(e1, b), (e1, c), (e2, c)]
+    assert one_step_reach(g, a, fatigue_edges={e1}) == [(e2, c)]
+    assert one_step_reach(g, a, fatigue_nodes={c}) == [(e1, b)]
+    assert one_step_reach(g, a, fatigue_nodes={c}, fatigue_edges={e1}) == []
     with pytest.raises(InputError):
-        g.transition_options(42)
+        g.out_edges(42)
 
 
 def test_source_node_never_a_target():
     rng = np.random.default_rng(3)
     for _ in range(10):
         graph, _ = graphgen.random_graph(rng)
-        for node in graph.nodes:
-            for _, target in graph.eligible_transitions(node.node_id):
-                assert target != node.node_id
+        for node_fatigue in (0, 1):
+            # one table for all walks, so a walk can start on an unfatigued
+            # node while other nodes are fatigued
+            params, fatigue = RankingParams(node_fatigue=node_fatigue), FatigueTable()
+            for node in graph.nodes:
+                for seed in range(8):
+                    edges, nodes, _ = random_walk(graph, node.node_id, 4, fatigue,
+                                                  params, make_stream(seed, "source"))
+                    path = [node.node_id, *nodes]
+                    for source, edge_id, target in zip(path, edges, nodes):
+                        assert edge_id in graph.out_edges(source)
+                        assert target != source
 
 
 def test_frozen_graph_rejects_mutation():
