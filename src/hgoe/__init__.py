@@ -27,7 +27,7 @@ from .evaluation import (
     repeated_comparison,
     spearman_rho,
 )
-from .hypergraph import EdgeKind, Hyperedge, Hypergraph, Node, NodeKind, Role, Variant
+from .hypergraph import EdgeKind, Hyperedge, Hypergraph, Node, NodeKind, Variant
 from .indexer import (
     CorpusDocument,
     compute_weights,
@@ -70,7 +70,6 @@ __all__ = [
     "NodeKind",
     "Ranking",
     "RankingParams",
-    "Role",
     "SeedSet",
     "Variant",
     "average_precision",

@@ -1,15 +1,15 @@
-"""Typed hypergraph with incidence tracking and binary persistence.
+"""Typed hypergraph with binary persistence.
 
 Nodes are terms or entities. Hyperedges connect node sets and are either
 undirected (one member set) or directed (a tail set and a head set). The
-graph keeps a dense integer id space for nodes and edges, an incidence map
-from node id to (edge id, role) pairs, and corpus statistics used for
-weighting.
+graph keeps a dense integer id space for nodes and edges, the edge records,
+and corpus statistics used for weighting.
 
-Freezing checks the incidence map against the edges and, in the same
-O(sum of edge sizes) pass, builds the walk table: for each node, the ids of
-the edges a walk can leave it by (`out_edges`). A step over an undirected
-edge reaches any other member; a directed edge is traversed tail to head.
+Freezing checks each edge record against the topology `add_edge` accepted
+and, in the same O(sum of edge sizes) pass, builds the walk table: for each
+node, the ids of the edges a walk can leave it by (`out_edges`). A step over
+an undirected edge reaches any other member; a directed edge is traversed
+tail to head.
 
 Binary index format (version 1, integers little-endian, node and edge ids
 implicit from record order):
@@ -32,7 +32,7 @@ implicit from record order):
         u32 term df entries, then (u32 label length, label utf-8, u32 count)
         u32 entity df entries, same layout
 
-Loading rebuilds the incidence map from edge topology and raises FormatError
+Loading replays the records, builds the walk table, and raises FormatError
 with the failing byte offset on truncated or corrupted input.
 """
 from __future__ import annotations
@@ -59,12 +59,6 @@ class EdgeKind(IntEnum):
     RELATED_TO = 2
     SYNONYM = 3
     CONTEXT = 4
-
-
-class Role(IntEnum):
-    MEMBER = 0
-    TAIL = 1
-    HEAD = 2
 
 
 class Variant(str, Enum):
@@ -125,7 +119,6 @@ class Hypergraph:
         self.variant = Variant(variant)
         self.nodes: list[Node] = []
         self.edges: list[Hyperedge] = []
-        self.incidence: dict[int, set[tuple[int, Role]]] = {}
         self.term_df: dict[str, int] = {}
         self.entity_df: dict[str, int] = {}
         self._node_index: dict[tuple[NodeKind, str], int] = {}
@@ -168,7 +161,6 @@ class Hypergraph:
         node_id = len(self.nodes)
         self.nodes.append(Node(node_id, kind, label))
         self._node_index[key] = node_id
-        self.incidence[node_id] = set()
         return node_id
 
     def add_edge(
@@ -227,9 +219,6 @@ class Hypergraph:
         edge_id = len(self.edges)
         self.edges.append(Hyperedge(edge_id, kind, members, tail, head, doc_id))
         self._edge_index[key] = edge_id
-        for role, ids in zip(Role, (members, tail, head)):
-            for n in ids:
-                self.incidence[n].add((edge_id, role))
         if doc_id is not None:
             self._doc_edges[doc_id] = edge_id
         return edge_id
@@ -255,20 +244,17 @@ class Hypergraph:
         """Validate invariants, build the walk table, lock the graph."""
         if self._frozen:
             return self
-        rebuilt: dict[int, set[tuple[int, Role]]] = {n.node_id: set() for n in self.nodes}
         out_edges: list[list[int]] = [[] for _ in self.nodes]
         doc_edges = 0
         for edge in self.edges:
+            key = (edge.kind, edge.members, edge.tail, edge.head, edge.doc_id)
+            if self._edge_index.get(key) != edge.edge_id:
+                raise InvariantError(f"edge {edge.edge_id} was changed after add_edge")
             if edge.kind is EdgeKind.DOCUMENT:
                 doc_edges += 1
             if edge.tail or len(edge.members) > 1:
                 for n in edge.tail or edge.members:
                     out_edges[n].append(edge.edge_id)
-            for role, ids in zip(Role, (edge.members, edge.tail, edge.head)):
-                for n in ids:
-                    rebuilt[n].add((edge.edge_id, role))
-        if rebuilt != self.incidence:
-            raise InvariantError("incidence map does not match edge topology")
         if doc_edges != len(self._doc_edges):
             raise InvariantError("document count does not match Document edges")
         for node in self.nodes:

@@ -241,6 +241,9 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
             graph.edges[edge_id].context_sims.extend(
                 min(-neg_sim, 1.0) for neg_sim, _, _ in chosen
             )
+        # `sims` is a view of `block`; drop both so that only one block is alive
+        # while the next one is computed.
+        del block, sims
     return added
 
 

@@ -110,16 +110,12 @@ def dense_funnel_graph() -> Hypergraph:
 
 def mean_distinct_degree(graph: Hypergraph) -> float:
     """Mean over nodes of the number of distinct co-occurring nodes."""
-    total = 0
-    for node_id in range(len(graph.nodes)):
-        neighbours: set[int] = set()
-        for edge_id, _ in graph.incidence[node_id]:
-            edge = graph.edges[edge_id]
-            neighbours.update(edge.members)
-            neighbours.update(edge.tail)
-            neighbours.update(edge.head)
-        neighbours.discard(node_id)
-        total += len(neighbours)
+    neighbours: list[set[int]] = [set() for _ in graph.nodes]
+    for edge in graph.edges:
+        touched = (*edge.members, *edge.tail, *edge.head)
+        for node_id in touched:
+            neighbours[node_id].update(touched)
+    total = sum(len(found - {node_id}) for node_id, found in enumerate(neighbours))
     return total / len(graph.nodes)
 
 

@@ -1,10 +1,11 @@
 """Independent reference scorer for fatigue-free walks.
 
 Re-implements the documented seeding, sampling and stream rules from
-scratch on top of the public graph attributes (incidence map and edge
-records), without touching the walk engine.  Used to pin down the exact
-random stream contract: with both fatigue windows at zero the engine
-must reproduce these results bit for bit.
+scratch on top of the public edge records, without touching the walk
+engine or its walk table: each call builds its own node -> (edge id, role)
+incidence lists from `graph.edges`.  Used to pin down the exact random
+stream contract: with both fatigue windows at zero the engine must
+reproduce these results bit for bit.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from hgoe import EdgeKind, NodeKind, Role, Variant
+from hgoe import EdgeKind, NodeKind, Variant
 from hgoe.indexer import tokenize
 
 
@@ -22,27 +23,40 @@ def _stream(rng_seed: int, query: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, key])))
 
 
-def _seeds(graph, query: str) -> list[int]:
+MEMBER, TAIL, HEAD = "member", "tail", "head"
+
+
+def _incidence(graph) -> list[list[tuple[int, str]]]:
+    """For each node id, the (edge id, role) pairs of the edges touching it."""
+    incidence: list[list[tuple[int, str]]] = [[] for _ in graph.nodes]
+    for edge in graph.edges:
+        for role, ids in ((MEMBER, edge.members), (TAIL, edge.tail), (HEAD, edge.head)):
+            for n in ids:
+                incidence[n].append((edge.edge_id, role))
+    return incidence
+
+
+def _seeds(graph, incidence, query: str) -> list[int]:
     seeds = set()
     for term in dict.fromkeys(tokenize(query)):
         node_id = graph.node_id(NodeKind.TERM, term)
         if node_id is None:
             continue
         entities = set()
-        for edge_id, role in graph.incidence[node_id]:
+        for edge_id, role in incidence[node_id]:
             edge = graph.edges[edge_id]
-            if edge.kind is EdgeKind.CONTAINED_IN and role is Role.TAIL:
+            if edge.kind is EdgeKind.CONTAINED_IN and role == TAIL:
                 entities.update(edge.head)
         seeds.update(entities if entities else {node_id})
     return sorted(seeds)
 
 
-def _options(graph, node_id: int) -> list[tuple[int, list[int]]]:
+def _options(graph, incidence, node_id: int) -> list[tuple[int, list[int]]]:
     per_edge = []
-    for edge_id, role in graph.incidence[node_id]:
+    for edge_id, role in incidence[node_id]:
         edge = graph.edges[edge_id]
         if edge.directed:
-            if role is not Role.TAIL:
+            if role != TAIL:
                 continue
             targets = sorted(edge.head)
         else:
@@ -66,7 +80,8 @@ def _weighted_pick(weights: list[float], u: float) -> int:
 
 def reference_rws(graph, query: str, params):
     """Returns (entries, visit_counts, total_steps) with no fatigue logic."""
-    seeds = _seeds(graph, query)
+    incidence = _incidence(graph)
+    seeds = _seeds(graph, incidence, query)
     if not seeds:
         return [], {}, 0
     rng = _stream(params.rng_seed, query)
@@ -77,7 +92,7 @@ def reference_rws(graph, query: str, params):
         for seed in seeds:
             current = seed
             for _ in range(params.walk_length):
-                options = _options(graph, current)
+                options = _options(graph, incidence, current)
                 if not options:
                     break
                 if weighted:

@@ -15,7 +15,6 @@ from hgoe import (
     InvariantError,
     NodeKind,
     RankingParams,
-    Role,
     Variant,
     random_walk,
 )
@@ -178,11 +177,17 @@ def test_frozen_graph_rejects_mutation():
         g.add_edge(EdgeKind.SYNONYM, members=[a, b])
 
 
-def test_freeze_detects_tampered_incidence():
+@pytest.mark.parametrize("field", ["members", "head", "kind"])
+def test_freeze_detects_tampered_edge(field):
     g, a, b, c, e = small_graph()
-    edge = g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
-    g.incidence[c].add((edge, Role.MEMBER))
-    with pytest.raises(InvariantError):
+    tampered = {
+        "members": (g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1"), (a, b, c)),
+        "head": (g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e]), (c,)),
+        "kind": (g.add_edge(EdgeKind.SYNONYM, members=[b, c]), EdgeKind.CONTEXT),
+    }
+    edge_id, value = tampered[field]
+    setattr(g.edges[edge_id], field, value)
+    with pytest.raises(InvariantError, match=f"edge {edge_id} was changed"):
         g.freeze()
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,25 @@ def test_extend_context_ignores_unembedded_vocabulary():
     graph = Hypergraph()
     graph.upsert_node(NodeKind.TERM, "only")
     assert extend_context(graph, {"unrelated": np.array([1.0, 0.0])}) == 0
+
+
+def test_extend_context_keeps_one_similarity_block_alive():
+    # 3,000 terms span three 1,024-row blocks of the similarity matrix.
+    rng = np.random.default_rng(0)
+    graph = Hypergraph()
+    embeddings = {}
+    for i in range(3000):
+        label = f"w{i:04d}"
+        graph.upsert_node(NodeKind.TERM, label)
+        embeddings[label] = rng.standard_normal(8)
+    block_bytes = 1024 * 3000 * 8
+    tracemalloc.start()
+    try:
+        extend_context(graph, embeddings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
 
 
 # -- weighting ----------------------------------------------------------------
