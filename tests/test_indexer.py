@@ -214,6 +214,51 @@ def test_extend_context_ignores_unembedded_vocabulary():
     assert extend_context(graph, {"unrelated": np.array([1.0, 0.0])}) == 0
 
 
+# Unit-norm templates with dyadic components: a signed permutation of any of
+# them times 4 is an integer vector, so every cosine is an exact multiple of
+# 1/16 in float64 and many of them tie.
+_DYADIC_TEMPLATES = (
+    (4, 0, 0, 0, 0, 0),
+    (2, 2, 2, 2, 0, 0),
+    (3, 2, 1, 1, 1, 0),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extend_context_matches_the_documented_rule_on_ties(seed):
+    # 2,500 terms span three 1,024-row blocks of the similarity matrix.
+    rng = np.random.default_rng(seed)
+    labels = [f"w{i:04d}" for i in range(2500)]
+    quarters = np.array([
+        rng.permutation(_DYADIC_TEMPLATES[rng.integers(3)]) * rng.choice([-1, 1], size=6)
+        for _ in labels
+    ])
+    graph = Hypergraph()
+    for i in rng.permutation(len(labels)):  # node ids need not follow label order
+        graph.upsert_node(NodeKind.TERM, labels[i])
+    added = extend_context(graph, {label: q / 4.0 for label, q in zip(labels, quarters)})
+
+    # The rule, spelled out: per term in label order, the other terms with
+    # cosine above 0.5 (8/16) by (-cosine, label), first two.
+    sixteenths = quarters @ quarters.T
+    expected: dict[tuple[int, ...], list[float]] = {}
+    for i, label in enumerate(labels):
+        chosen = sorted(
+            (-int(sixteenths[i, j]), labels[j])
+            for j in np.nonzero(sixteenths[i] > 8)[0]
+            if j != i
+        )[:2]
+        if not chosen:
+            continue
+        ids = [graph.node_id(NodeKind.TERM, name) for name in (label, *(n for _, n in chosen))]
+        expected.setdefault(tuple(sorted(ids)), []).extend(
+            min(-s / 16, 1.0) for s, _ in chosen
+        )
+    context = [(e.members, e.context_sims) for e in graph.edges if e.kind is EdgeKind.CONTEXT]
+    assert context == list(expected.items())
+    assert added == len(expected)
+
+
 def test_extend_context_keeps_one_similarity_block_alive():
     # 3,000 terms span three 1,024-row blocks of the similarity matrix.
     rng = np.random.default_rng(0)
