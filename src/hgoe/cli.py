@@ -30,11 +30,10 @@ ENGINE_CHOICES = ["rws", "tfidf", "bm25"]
 _CONFIG_KEYS = {
     "corpus": None, "variant": Variant.BASE.value, "variants": [Variant.BASE.value],
     "lexicon": None, "embeddings": None, "topics": None, "qrels": None, "out": None,
-    "length": 2, "repeats": 1000, "rng_seed": 0, "k": 10, "tag": None,
-    "node_fatigue": None, "edge_fatigue": None,
+    "length": 2, "repeats": 1000, "rng_seed": 0, "k": 10,
     "node_fatigue_grid": None, "edge_fatigue_grid": None,
 }
-_INT_CONFIG_KEYS = {"length", "repeats", "rng_seed", "k", "node_fatigue", "edge_fatigue"}
+_INT_CONFIG_KEYS = {"length", "repeats", "rng_seed", "k"}
 
 # A search ranks a query, keeping at most --k entries; baselines ignore params.
 Search = Callable[[str, RankingParams], Ranking]

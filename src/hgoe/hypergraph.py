@@ -369,13 +369,13 @@ class Hypergraph:
             weight = cur.f64("edge weight") if flags & 2 else None
             doc_id = cur.string("doc id") if flags & 4 else None
             if flags & 1:
-                tail = tuple(cur.u32("tail id") for _ in range(cur.u32("tail count")))
-                head = tuple(cur.u32("head id") for _ in range(cur.u32("head count")))
+                tail = cur.array("I", "tail")
+                head = cur.array("I", "head")
                 members = ()
             else:
-                members = tuple(cur.u32("member id") for _ in range(cur.u32("member count")))
+                members = cur.array("I", "member")
                 tail = head = ()
-            sims = [cur.f64("similarity") for _ in range(cur.u32("similarity count"))]
+            sims = list(cur.array("d", "similarity"))
             try:
                 eid = graph.add_edge(EdgeKind(kind_code), members, tail, head, doc_id)
             except (InputError, InvariantError) as exc:
@@ -432,6 +432,11 @@ class _Cursor:
 
     def f64(self, what: str) -> float:
         return struct.unpack("<d", self.read(8, what))[0]
+
+    def array(self, code: str, what: str) -> tuple:
+        """A u32 count, then that many little-endian items of struct type code."""
+        fmt = f"<{self.u32(f'{what} count')}{code}"
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), f"{what} entries"))
 
     def string(self, what: str) -> str:
         length = self.u32(f"{what} length")

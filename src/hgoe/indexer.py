@@ -115,6 +115,8 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
                 vector = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: non-numeric vector component") from exc
+            if not np.all(np.isfinite(vector)):
+                raise FormatError(f"{path}:{lineno}: non-finite vector component")
             if not np.linalg.norm(vector) > 0.0:
                 raise FormatError(f"{path}:{lineno}: zero vector for {word!r}")
             table[word] = vector
@@ -201,9 +203,11 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     Neighbour search is exact brute force over the embedded part of the
     graph vocabulary. A term picks up to CONTEXT_MAX_NEIGHBOURS other terms
     with cosine similarity strictly above CONTEXT_SIM_THRESHOLD; ties break
-    on the label. The similarity of every recorded (term, neighbour) pair is
-    stored on the edge for later weighting. Returns the number of Context
-    edges added.
+    on the label. The similarities are computed 1,024 terms at a time into
+    one reused block, and each term's neighbours are selected from its row
+    by repeated argmax, so the candidates are never sorted. The similarity
+    of every recorded (term, neighbour) pair is stored on the edge for later
+    weighting. Returns the number of Context edges added.
     """
     vocab = sorted(
         node.label
@@ -214,36 +218,34 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
         return 0
     matrix = np.stack([np.asarray(embeddings[label], dtype=np.float64) for label in vocab])
     norms = np.linalg.norm(matrix, axis=1)
-    if not np.all(norms > 0.0):
-        raise InputError("embeddings contain a zero vector")
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise InputError("embeddings contain a zero or non-finite vector")
     matrix = matrix / norms[:, None]
-    added = 0
+    term_ids = [graph.node_id(NodeKind.TERM, label) for label in vocab]
+    n = len(vocab)
     chunk = 1024
-    for start in range(0, len(vocab), chunk):
-        block = matrix[start : start + chunk] @ matrix.T
-        for row_offset in range(block.shape[0]):
-            i = start + row_offset
-            sims = block[row_offset]
-            candidates = [
-                (-float(sims[j]), vocab[j], j)
-                for j in np.nonzero(sims > CONTEXT_SIM_THRESHOLD)[0]
-                if j != i
-            ]
-            if not candidates:
+    block = np.empty((min(chunk, n), n))
+    added = 0
+    for start in range(0, n, chunk):
+        sims = np.matmul(matrix[start : start + chunk], matrix.T, out=block[: n - start])
+        rows = np.arange(len(sims))
+        sims[rows, start + rows] = -np.inf
+        # vocab is sorted and argmax returns the first maximum, so the passes
+        # pick each row's columns in (-similarity, label) order.
+        passes = []
+        for _ in range(CONTEXT_MAX_NEIGHBOURS):
+            cols = sims.argmax(axis=1)
+            passes.append(zip(cols.tolist(), sims[rows, cols].tolist()))
+            sims[rows, cols] = -np.inf
+        for row, nearest in enumerate(zip(*passes)):
+            chosen = [(j, sim) for j, sim in nearest if sim > CONTEXT_SIM_THRESHOLD]
+            if not chosen:
                 continue
-            candidates.sort()
-            chosen = candidates[:CONTEXT_MAX_NEIGHBOURS]
-            term_id = graph.node_id(NodeKind.TERM, vocab[i])
-            neighbour_ids = [graph.node_id(NodeKind.TERM, label) for _, label, _ in chosen]
+            members = [term_ids[start + row], *(term_ids[j] for j, _ in chosen)]
             before = len(graph.edges)
-            edge_id = graph.add_edge(EdgeKind.CONTEXT, members=[term_id, *neighbour_ids])
+            edge_id = graph.add_edge(EdgeKind.CONTEXT, members=members)
             added += len(graph.edges) - before
-            graph.edges[edge_id].context_sims.extend(
-                min(-neg_sim, 1.0) for neg_sim, _, _ in chosen
-            )
-        # `sims` is a view of `block`; drop both so that only one block is alive
-        # while the next one is computed.
-        del block, sims
+            graph.edges[edge_id].context_sims.extend(min(sim, 1.0) for _, sim in chosen)
     return added
 
 

@@ -63,6 +63,24 @@ def test_bad_config_value_is_a_config_error(workspace, capsys, command, key, val
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_sweep_rejects_config_keys_only_search_has(workspace, capsys):
+    # Fatigue is swept through the grids and the tag belongs to search, so
+    # sweep must not accept these keys and then run the default grid.
+    config = workspace / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(workspace / "corpus.jsonl"),
+        "topics": str(workspace / "topics.tsv"),
+        "qrels": str(workspace / "qrels.txt"),
+        "out": str(workspace),
+        "node_fatigue": 5, "edge_fatigue": 7, "tag": "zzz",
+    }), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config keys" in err
+    assert "'edge_fatigue', 'node_fatigue', 'tag'" in err
+    assert not (workspace / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["index", "search", "sweep"])
 def test_non_utf8_corpus_exits_2(workspace, capsys, command):
     bad = workspace / "latin1.jsonl"

@@ -261,6 +261,20 @@ def test_truncated_file_rejected(tmp_path):
     assert "offset" in str(err.value)
 
 
+def test_every_truncation_names_an_offset(tmp_path):
+    # Weighted, with directed edges and Context similarities, so that some cut
+    # falls inside each kind of record and each kind of array.
+    graph, _ = graphgen.random_graph(np.random.default_rng(25), Variant.WEIGHTED)
+    assert any(e.context_sims for e in graph.edges) and any(e.directed for e in graph.edges)
+    path = tmp_path / "g.hgoe"
+    graph.save(str(path))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError, match="offset"):
+            Hypergraph.load(str(path))
+
+
 def test_unsupported_version_rejected(tmp_path):
     rng = np.random.default_rng(15)
     graph, _ = graphgen.random_graph(rng, Variant.BASE)

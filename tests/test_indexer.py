@@ -208,6 +208,23 @@ def test_extend_context_identical_vectors():
     assert all(s <= 1.0 for s in edge.context_sims)
 
 
+def test_extend_context_excludes_a_cosine_of_exactly_the_threshold():
+    graph = Hypergraph()
+    graph.upsert_node(NodeKind.TERM, "p")
+    graph.upsert_node(NodeKind.TERM, "q")
+    embeddings = {"p": np.array([1.0, 0.0, 0.0, 0.0]), "q": np.array([0.5, 0.5, 0.5, 0.5])}
+    assert extend_context(graph, embeddings) == 0
+
+
+def test_extend_context_rejects_non_finite_vectors():
+    graph = Hypergraph()
+    graph.upsert_node(NodeKind.TERM, "finite")
+    graph.upsert_node(NodeKind.TERM, "infinite")
+    embeddings = {"finite": np.array([1.0, 0.0]), "infinite": np.array([np.inf, 0.0])}
+    with pytest.raises(InputError, match="non-finite"):
+        extend_context(graph, embeddings)
+
+
 def test_extend_context_ignores_unembedded_vocabulary():
     graph = Hypergraph()
     graph.upsert_node(NodeKind.TERM, "only")
@@ -436,3 +453,12 @@ def test_load_embeddings_rejects_malformed_input(tmp_path, content):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(FormatError):
         load_embeddings(str(path))
+
+
+@pytest.mark.parametrize("component", ["inf", "-inf", "nan"])
+def test_load_embeddings_rejects_non_finite_components(tmp_path, component):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"2 2\ncat 1 0\ndog 1 {component}\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:3: non-finite vector component"
