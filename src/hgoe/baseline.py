@@ -56,9 +56,8 @@ def search_tfidf(index: InvertedIndex, query: str, k: int = 10) -> Ranking:
     return _top_k(scores, k)
 
 
-def search_bm25(
-    index: InvertedIndex, query: str, k: int = 10, k1: float = BM25_K1, b: float = BM25_B
-) -> Ranking:
+def search_bm25(index: InvertedIndex, query: str, k: int = 10) -> Ranking:
+    """Okapi BM25 with k1 = BM25_K1 and b = BM25_B."""
     if k < 1:
         raise InputError("k must be at least 1")
     if index.doc_count == 0:
@@ -71,8 +70,8 @@ def search_bm25(
         df = len(plist)
         idf = math.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
         for doc_id, tf in plist:
-            norm = k1 * (1.0 - b + b * index.doc_len[doc_id] / index.avgdl)
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * index.doc_len[doc_id] / index.avgdl)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (BM25_K1 + 1.0) / (tf + norm)
     return _top_k(scores, k)
 
 

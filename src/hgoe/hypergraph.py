@@ -2,8 +2,8 @@
 
 Nodes are terms or entities. Hyperedges connect node sets and are either
 undirected (one member set) or directed (a tail set and a head set). The
-graph keeps a dense integer id space for nodes and edges, the edge records,
-and corpus statistics used for weighting.
+graph keeps a dense integer id space for nodes and edges and the edge
+records; a node's document frequency is counted from the Document edges.
 
 Freezing checks each edge record against the topology `add_edge` accepted
 and, in the same O(sum of edge sizes) pass, builds the walk table: for each
@@ -11,11 +11,11 @@ node, the ids of the edges a walk can leave it by (`out_edges`). A step over
 an undirected edge reaches any other member; a directed edge is traversed
 tail to head.
 
-Binary index format (version 1, integers little-endian, node and edge ids
+Binary index format (version 2, integers little-endian, node and edge ids
 implicit from record order):
 
     offset 0: magic bytes "HGOE"
-    u32 format version (= 1)
+    u32 format version (= 2)
     u8  variant code (0 = base, 1 = syns-context, 2 = weighted)
     u32 node count, u32 edge count, u32 document count
     node records:
@@ -28,9 +28,6 @@ implicit from record order):
         undirected: u32 member count, u32 member node ids
         directed:   u32 tail count, u32 tail ids, u32 head count, u32 head ids
         u32 similarity count, f64 similarities (context edges only)
-    statistics:
-        u32 term df entries, then (u32 label length, label utf-8, u32 count)
-        u32 entity df entries, same layout
 
 Loading replays the records, builds the walk table, and raises FormatError
 with the failing byte offset on truncated or corrupted input.
@@ -45,7 +42,7 @@ from typing import Iterable
 from .errors import FormatError, InputError, InvariantError
 
 FORMAT_MAGIC = b"HGOE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class NodeKind(IntEnum):
@@ -119,8 +116,6 @@ class Hypergraph:
         self.variant = Variant(variant)
         self.nodes: list[Node] = []
         self.edges: list[Hyperedge] = []
-        self.term_df: dict[str, int] = {}
-        self.entity_df: dict[str, int] = {}
         self._node_index: dict[tuple[NodeKind, str], int] = {}
         self._edge_index: dict[tuple, int] = {}
         self._doc_edges: dict[str, int] = {}
@@ -175,7 +170,8 @@ class Hypergraph:
 
         Duplicates share kind and topology; Document edges additionally match
         on doc_id so that distinct documents with identical content keep
-        separate edges.
+        separate edges. A doc_id already in the graph is an InputError, even
+        when the edge is otherwise identical.
         """
         if self._frozen:
             raise InvariantError("graph is frozen")
@@ -210,12 +206,12 @@ class Hypergraph:
         if kind in (EdgeKind.RELATED_TO, EdgeKind.SYNONYM, EdgeKind.CONTEXT) and len(members) < 2:
             raise InvariantError(f"{kind.name} edge needs at least two members")
 
+        if doc_id in self._doc_edges:
+            raise InputError(f"duplicate document id {doc_id!r}")
         key = (kind, members, tail, head, doc_id)
         existing = self._edge_index.get(key)
         if existing is not None:
             return existing
-        if doc_id is not None and doc_id in self._doc_edges:
-            raise InputError(f"duplicate document id {doc_id!r}")
         edge_id = len(self.edges)
         self.edges.append(Hyperedge(edge_id, kind, members, tail, head, doc_id))
         self._edge_index[key] = edge_id
@@ -273,7 +269,7 @@ class Hypergraph:
     # -- comparison -------------------------------------------------------
 
     def structurally_equal(self, other: "Hypergraph") -> bool:
-        """True when ids, labels, topologies, weights and statistics all match."""
+        """True when the variant and every node and edge record, weights included, match."""
         if self.variant is not other.variant:
             return False
         if len(self.nodes) != len(other.nodes) or len(self.edges) != len(other.edges):
@@ -288,7 +284,7 @@ class Hypergraph:
                 return False
             if a.context_sims != b.context_sims:
                 return False
-        return self.term_df == other.term_df and self.entity_df == other.entity_df
+        return True
 
     # -- persistence ------------------------------------------------------
 
@@ -324,11 +320,6 @@ class Hypergraph:
             out += struct.pack("<I", len(edge.context_sims))
             if edge.context_sims:
                 out += struct.pack(f"<{len(edge.context_sims)}d", *edge.context_sims)
-        for df in (self.term_df, self.entity_df):
-            out += struct.pack("<I", len(df))
-            for label in sorted(df):
-                _pack_str(out, label)
-                out += struct.pack("<I", df[label])
         with open(path, "wb") as fh:
             fh.write(out)
 
@@ -384,12 +375,6 @@ class Hypergraph:
                 raise FormatError(f"duplicate edge record near offset {cur.offset}")
             graph.edges[eid].weight = weight
             graph.edges[eid].context_sims = sims
-        for df in (graph.term_df, graph.entity_df):
-            for _ in range(cur.u32("df entry count")):
-                label = cur.string("df label")
-                if label in df:
-                    raise FormatError(f"duplicate df entry near offset {cur.offset}")
-                df[label] = cur.u32("df count")
         if cur.offset != len(data):
             raise FormatError(f"trailing data at offset {cur.offset}")
         if doc_count != graph.doc_count:

@@ -117,7 +117,7 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
                 raise FormatError(f"{path}:{lineno}: non-numeric vector component") from exc
             if not np.all(np.isfinite(vector)):
                 raise FormatError(f"{path}:{lineno}: non-finite vector component")
-            if not np.linalg.norm(vector) > 0.0:
+            if not vector.any():
                 raise FormatError(f"{path}:{lineno}: zero vector for {word!r}")
             table[word] = vector
     if len(table) != count:
@@ -145,11 +145,7 @@ def index_corpus(
         if embeddings is None:
             raise ConfigError(f"variant {variant.value} requires an embedding table")
     graph = Hypergraph(variant)
-    seen_docs = set()
     for doc in documents:
-        if doc.doc_id in seen_docs:
-            raise InputError(f"duplicate document id {doc.doc_id!r}")
-        seen_docs.add(doc.doc_id)
         terms = list(dict.fromkeys(tokenize(doc.text)))
         entities = list(dict.fromkeys(doc.links))
         if not terms and not entities:
@@ -165,10 +161,6 @@ def index_corpus(
             graph.add_edge(EdgeKind.CONTAINED_IN, tail=name_ids, head=[entity_id])
         if len(entity_ids) >= 2:
             graph.add_edge(EdgeKind.RELATED_TO, members=entity_ids)
-        for term in terms:
-            graph.term_df[term] = graph.term_df.get(term, 0) + 1
-        for entity in entities:
-            graph.entity_df[entity] = graph.entity_df.get(entity, 0) + 1
     if variant is not Variant.BASE:
         extend_synonyms(graph, lexicon)
         extend_context(graph, embeddings)
@@ -217,8 +209,18 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     if len(vocab) < 2:
         return 0
     matrix = np.stack([np.asarray(embeddings[label], dtype=np.float64) for label in vocab])
-    norms = np.linalg.norm(matrix, axis=1)
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    usable = np.isfinite(norms) & (norms > 0.0)
+    # A finite non-zero row whose norm over- or underflows is first divided
+    # by its largest |component|; every other row keeps its bits.
+    rescale = ~usable & np.isfinite(matrix).all(axis=1) & matrix.any(axis=1)
+    if rescale.any():
+        rows = matrix[rescale]
+        rows /= np.abs(rows).max(axis=1, keepdims=True)
+        matrix[rescale] = rows
+        norms[rescale] = np.linalg.norm(rows, axis=1)
+    if not np.all(usable | rescale):
         raise InputError("embeddings contain a zero or non-finite vector")
     matrix = matrix / norms[:, None]
     term_ids = [graph.node_id(NodeKind.TERM, label) for label in vocab]
@@ -253,22 +255,21 @@ def compute_weights(graph: Hypergraph) -> None:
     """Assign node and edge weights in place; all weights land in (0, 1].
 
     Node weight is the logistic function of the inverse document frequency,
-    sigmoid(log(N / df)), which simplifies to N / (N + df). Terms that occur
-    in no document (synonym-added vocabulary) take the df -> 0 limit of 1.0.
+    sigmoid(log(N / df)), which simplifies to N / (N + df), where df is the
+    number of Document edges holding the node. Nodes in no Document edge
+    (synonym-added vocabulary, entity name terms) take the df -> 0 limit of 1.0.
     Edge weights: Document 0.5, ContainedIn 1/|tail|, Synonym 1/|members|,
     Context the mean recorded similarity, RelatedTo the mean over member
     entities of the fraction of all other entities they co-occur with.
     """
+    df = [0] * len(graph.nodes)
+    for edge in graph.edges:
+        if edge.kind is EdgeKind.DOCUMENT:
+            for member in edge.members:
+                df[member] += 1
     n_docs = graph.doc_count
-    for node in graph.nodes:
-        df_map = graph.term_df if node.kind is NodeKind.TERM else graph.entity_df
-        df = df_map.get(node.label)
-        if df is None:
-            node.weight = 1.0
-            continue
-        if df <= 0:
-            raise InternalError(f"node {node.label!r} has document frequency {df}")
-        node.weight = n_docs / (n_docs + df)
+    for node, count in zip(graph.nodes, df):
+        node.weight = n_docs / (n_docs + count) if count else 1.0
 
     related_partners: dict[int, set[int]] = {}
     for edge in graph.edges:

@@ -63,7 +63,6 @@ class RankingParams:
 @dataclass
 class SeedSet:
     query: str
-    per_term: dict[str, frozenset[int]]
     seeds: tuple[int, ...]
 
 
@@ -125,19 +124,17 @@ def map_query_to_seeds(graph: Hypergraph, query: str) -> SeedSet:
     entity nodes; a term present in the graph without such edges contributes
     its own term node; an unknown term contributes nothing.
     """
-    per_term: dict[str, frozenset[int]] = {}
+    seeds: set[int] = set()
     for term in dict.fromkeys(tokenize(query)):
         node_id = graph.node_id(NodeKind.TERM, term)
         if node_id is None:
-            per_term[term] = frozenset()
             continue
         entities: set[int] = set()
         for edge_id in graph.out_edges(node_id):
             if graph.edges[edge_id].kind is EdgeKind.CONTAINED_IN:
                 entities.update(graph.edges[edge_id].head)
-        per_term[term] = frozenset(entities) if entities else frozenset((node_id,))
-    seeds = tuple(sorted(set().union(*per_term.values()) if per_term else ()))
-    return SeedSet(query, per_term, seeds)
+        seeds.update(entities or (node_id,))
+    return SeedSet(query, tuple(sorted(seeds)))
 
 
 def random_walk(

@@ -78,8 +78,11 @@ def test_document_edges_with_distinct_doc_ids_stay_separate():
 def test_duplicate_doc_id_rejected():
     g, a, b, c, e = small_graph()
     g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="duplicate document id 'd1'"):
         g.add_edge(EdgeKind.DOCUMENT, members=[a, c], doc_id="d1")
+    with pytest.raises(InputError, match="duplicate document id 'd1'"):
+        g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
+    assert g.doc_count == 1 and len(g.edges) == 1
 
 
 def test_kind_constraints():
@@ -223,8 +226,6 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.frozen
     assert graph.structurally_equal(loaded)
     assert loaded.structurally_equal(graph)
-    assert loaded.term_df == graph.term_df
-    assert loaded.entity_df == graph.entity_df
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -281,10 +282,11 @@ def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "g.hgoe"
     graph.save(str(path))
     data = bytearray(path.read_bytes())
-    data[4] = 99  # version field sits right after the magic
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError):
-        Hypergraph.load(str(path))
+    for version in (99, 1):
+        data[4] = version  # version field sits right after the magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"unsupported format version {version} at offset 4"):
+            Hypergraph.load(str(path))
 
 
 def test_trailing_data_rejected(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hgoe import (
     load_synonyms,
     tokenize,
 )
-from hgoe.indexer import extend_context, extend_synonyms
+from hgoe.indexer import compute_weights, extend_context, extend_synonyms
 
 import graphgen
 
@@ -61,6 +62,17 @@ def test_tokenize_properties(text):
 
 # -- corpus structure ---------------------------------------------------------
 
+def _document_frequency(graph, kind):
+    """Label -> number of Document edges holding that node of the given kind."""
+    counts = {}
+    for edge in graph.edges:
+        if edge.kind is EdgeKind.DOCUMENT:
+            for node in (graph.nodes[m] for m in edge.members):
+                if node.kind is kind:
+                    counts[node.label] = counts.get(node.label, 0) + 1
+    return counts
+
+
 def test_single_document_structure():
     doc = CorpusDocument("d1", "The Eiffel Tower stands in Paris",
                          ("Eiffel Tower", "Paris"))
@@ -87,8 +99,8 @@ def test_single_document_structure():
         graph.node_id(NodeKind.TERM, "eiffel"),
         graph.node_id(NodeKind.TERM, "tower"),
     }
-    assert graph.term_df == {t: 1 for t in terms}
-    assert graph.entity_df == {"Eiffel Tower": 1, "Paris": 1}
+    assert _document_frequency(graph, NodeKind.TERM) == {t: 1 for t in terms}
+    assert _document_frequency(graph, NodeKind.ENTITY) == {"Eiffel Tower": 1, "Paris": 1}
 
 
 def test_shared_structure_is_deduplicated():
@@ -101,8 +113,8 @@ def test_shared_structure_is_deduplicated():
     contained = [e for e in graph.edges if e.kind is EdgeKind.CONTAINED_IN]
     assert len(related) == 1
     assert len(contained) == 2
-    assert graph.term_df["rain"] == 2
-    assert graph.entity_df == {"Oslo": 2, "Bergen": 2}
+    assert _document_frequency(graph, NodeKind.TERM)["rain"] == 2
+    assert _document_frequency(graph, NodeKind.ENTITY) == {"Oslo": 2, "Bergen": 2}
 
 
 def test_document_without_text_is_fine_with_links():
@@ -225,6 +237,19 @@ def test_extend_context_rejects_non_finite_vectors():
         extend_context(graph, embeddings)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extend_context_rescales_a_vector_whose_norm_over_or_underflows(scale):
+    graph = Hypergraph()
+    graph.upsert_node(NodeKind.TERM, "a")
+    graph.upsert_node(NodeKind.TERM, "b")
+    embeddings = {"a": np.array([scale, 0.0]), "b": np.array([1.0, 0.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extend_context(graph, embeddings) == 1
+    (edge,) = [e for e in graph.edges if e.kind is EdgeKind.CONTEXT]
+    assert edge.context_sims == [1.0, 1.0]
+
+
 def test_extend_context_ignores_unembedded_vocabulary():
     graph = Hypergraph()
     graph.upsert_node(NodeKind.TERM, "only")
@@ -323,6 +348,20 @@ def test_node_weights_follow_document_frequency():
     # name terms and synonym-added terms occur in no document: limit weight
     assert weight_of(NodeKind.TERM, "rome") == 1.0
     assert weight_of(NodeKind.TERM, "fresh1") == 1.0
+
+
+def test_node_weights_count_the_document_edges_of_a_hand_built_graph():
+    graph = Hypergraph(Variant.WEIGHTED)
+    alpha = graph.upsert_node(NodeKind.TERM, "alpha")
+    beta = graph.upsert_node(NodeKind.TERM, "beta")
+    graph.add_edge(EdgeKind.DOCUMENT, members=[alpha, beta], doc_id="d1")
+    graph.add_edge(EdgeKind.DOCUMENT, members=[alpha], doc_id="d2")
+    compute_weights(graph)
+    assert graph.nodes[alpha].weight == 0.5
+    assert graph.nodes[beta].weight == 2 / 3
+    docs = [CorpusDocument("d1", "alpha beta"), CorpusDocument("d2", "alpha")]
+    indexed = index_corpus(docs, Variant.WEIGHTED, [], {})
+    assert [n.weight for n in indexed.nodes] == [0.5, 2 / 3]
 
 
 def test_node_weight_matches_logistic_idf():
@@ -430,6 +469,16 @@ def test_load_synonyms_rejects_degenerate_lines(tmp_path, content):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(FormatError):
         load_synonyms(str(path))
+
+
+def test_load_embeddings_accepts_extreme_non_zero_components(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("2 2\ntiny 1e-200 0\nhuge 1e200 0\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_embeddings(str(path))
+    assert table["tiny"].tolist() == [1e-200, 0.0]
+    assert table["huge"].tolist() == [1e200, 0.0]
 
 
 def test_load_embeddings(tmp_path):

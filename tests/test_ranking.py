@@ -80,8 +80,9 @@ def test_seed_mix_and_unknown_terms():
         graph.node_id(NodeKind.TERM, "x"),
         graph.node_id(NodeKind.ENTITY, "Foo Bar"),
     }
-    assert seed_set.per_term["zzz"] == frozenset()
     assert sorted(seed_set.seeds) == list(seed_set.seeds)
+    # an unknown term adds no seeds
+    assert map_query_to_seeds(graph, "x bar").seeds == seed_set.seeds
 
 
 def test_query_with_no_known_terms_ranks_nothing():
