@@ -1,6 +1,9 @@
 """Walk mechanics, fatigue semantics, seeding and the scored ranking."""
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,3 +320,99 @@ def test_run_timed_reports_duration():
     assert elapsed_ns > 0
     again = rws(graph, "w00 w01", RankingParams(repeats=20))
     assert ranking.entries == again.entries
+
+
+# -- hub-degree steps against the list-filter rule ------------------------------
+
+def hub_graph(variant: Variant):
+    """A hub term with 600 out-edges, most of them with 2 or 3 targets.
+
+    Each leaf shares a 2-target synonym edge and two 3-target context edges
+    with the hub, 150 documents join the hub to 5-20 leaves and entities, and
+    ContainedIn edges lead from the hub (alone or with a leaf) to one to three
+    entities. Synonym rings between leaves let walks wander off the hub.
+    """
+    rng = np.random.default_rng(17)
+    g = Hypergraph(variant)
+    hub = g.upsert_node(NodeKind.TERM, "hub")
+    leaves = [g.upsert_node(NodeKind.TERM, f"leaf{i:03d}") for i in range(200)]
+    entities = [g.upsert_node(NodeKind.ENTITY, f"Entity {i:02d}") for i in range(40)]
+    for i, leaf in enumerate(leaves):
+        g.add_edge(EdgeKind.SYNONYM, members=[hub, leaf])
+        g.add_edge(EdgeKind.CONTEXT, members=[hub, leaf, leaves[(i + 1) % 200]])
+        g.add_edge(EdgeKind.SYNONYM, members=[leaf, leaves[(i + 7) % 200]])
+    for i in range(150):
+        size = int(rng.integers(5, 21))
+        picked = rng.choice(leaves + entities, size=size, replace=False).tolist()
+        g.add_edge(EdgeKind.DOCUMENT, members=[hub, *picked], doc_id=f"d{i:03d}")
+    for i in range(60):
+        head = rng.choice(entities, size=int(rng.integers(1, 4)), replace=False).tolist()
+        tail = [hub] if i % 2 else [hub, leaves[i]]
+        g.add_edge(EdgeKind.CONTAINED_IN, tail=tail, head=head)
+    for i in range(0, 40, 2):
+        g.add_edge(EdgeKind.RELATED_TO, members=[entities[i], entities[i + 1]])
+    if variant is Variant.WEIGHTED:
+        for item in (*g.nodes, *g.edges):
+            item.weight = float(rng.uniform(0.05, 1.0))
+    g.freeze()
+    return g, hub
+
+
+def list_filter_walk(graph, start, length, fatigue, params, rng, exclusions):
+    """The edge rule spelled out: list every eligible out-edge, then pick from the list.
+
+    An out-edge is eligible when it is not fatigued and reaches an unfatigued
+    node other than the source. Appends (source, number of excluded
+    out-edges) for each step to `exclusions`.
+    """
+    weighted = graph.variant is Variant.WEIGHTED
+
+    def pick(items, weight):
+        if not weighted:
+            return items[int(rng.integers(len(items)))]
+        cumulative = list(accumulate(weight(item) for item in items))
+        u = float(rng.random())
+        return items[min(bisect_right(cumulative, u * cumulative[-1]), len(items) - 1)]
+
+    visited_edges, visited_nodes, current = [], [], start
+    for _ in range(length):
+        fatigued = fatigue.nodes
+        out = graph.out_edges(current)
+        options = [
+            e for e in out
+            if e not in fatigue.edges
+            and any(t != current and t not in fatigued for t in graph.edges[e].targets)
+        ]
+        exclusions.append((current, len(out) - len(options)))
+        if not options:
+            break
+        edge_id = pick(options, lambda e: graph.edges[e].weight)
+        targets = [t for t in graph.edges[edge_id].targets if t != current and t not in fatigued]
+        target = pick(targets, lambda t: graph.nodes[t].weight)
+        visited_edges.append(edge_id)
+        visited_nodes.append(target)
+        fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
+        current = target
+    return visited_edges, visited_nodes, len(visited_edges)
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+@pytest.mark.parametrize("node_fatigue, edge_fatigue", [(0, 0), (0, 3), (2, 3), (10, 10), (40, 0)])
+def test_hub_steps_match_the_list_filter_rule(variant, node_fatigue, edge_fatigue):
+    graph, hub = hub_graph(variant)
+    assert len(graph.out_edges(hub)) >= 500
+    params = RankingParams(node_fatigue=node_fatigue, edge_fatigue=edge_fatigue)
+    engine_fatigue, oracle_fatigue = FatigueTable(), FatigueTable()
+    engine_rng, oracle_rng = make_stream(3, "hub"), make_stream(3, "hub")
+    starts = [hub if i % 4 else i % len(graph.nodes) for i in range(400)]
+    exclusions: list[tuple[int, int]] = []
+    steps = 0
+    for start in starts:
+        got = random_walk(graph, start, 5, engine_fatigue, params, engine_rng)
+        want = list_filter_walk(graph, start, 5, oracle_fatigue, params, oracle_rng, exclusions)
+        assert got == want
+        assert engine_rng.bit_generator.state == oracle_rng.bit_generator.state
+        steps += got[2]
+    assert steps > 1000
+    if node_fatigue or edge_fatigue:
+        assert sum(count for source, count in exclusions if source == hub) > 0
