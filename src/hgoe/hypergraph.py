@@ -9,7 +9,15 @@ Freezing checks each edge record against the topology `add_edge` accepted
 and, in the same O(sum of edge sizes) pass, builds the walk table: for each
 node, the ids of the edges a walk can leave it by (`out_edges`). A step over
 an undirected edge reaches any other member; a directed edge is traversed
-tail to head.
+tail to head. The same pass records the entities each term reaches over
+ContainedIn edges (`contained_in`), which seed mapping reads.
+
+Two walk tables are derived from the frozen graph and filled per node on
+first use, not at freeze: the running sums of a node's out-edge weights
+(`out_weight_sums`) and the edges that can land on a node, fewest targets
+first (`target_edges`). They only cache what the edges already say, so a
+frozen graph stays logically immutable; filling them lazily keeps `freeze`,
+`load` and the memory of a graph that is never walked as they were.
 
 Binary index format (version 2, integers little-endian, node and edge ids
 implicit from record order):
@@ -35,8 +43,11 @@ with the failing byte offset on truncated or corrupted input.
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import FormatError, InputError, InvariantError
@@ -121,6 +132,11 @@ class Hypergraph:
         self._doc_edges: dict[str, int] = {}
         self._frozen = False
         self._out_edges: list[tuple[int, ...]] = []
+        self._contained_in: dict[int, tuple[int, ...]] = {}
+        # derived walk tables, filled on first use
+        self._weight_sums: dict[int, array] = {}
+        self._target_edges: dict[int, tuple[tuple[int, ...], array]] = {}
+        self._head_edges: dict[int, list[int]] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -234,6 +250,49 @@ class Hypergraph:
             raise InvariantError("graph must be frozen before walking")
         raise InputError(f"unknown node id {node_id}")
 
+    def contained_in(self, node_id: int) -> tuple[int, ...]:
+        """Entities node_id reaches over ContainedIn edges (as a tail term), ascending."""
+        if not self._frozen:
+            raise InvariantError("graph must be frozen before walking")
+        return self._contained_in.get(node_id, ())
+
+    def out_weight_sums(self, node_id: int) -> array:
+        """Running sums of the weights of out_edges(node_id), in that order.
+
+        Filled on first use. The sums are added in out-edge order, so they
+        are the floats `accumulate` gives over a list of those weights.
+        """
+        sums = self._weight_sums.get(node_id)
+        if sums is None:
+            edges = self.edges
+            weights = (edges[e].weight for e in self.out_edges(node_id))
+            sums = self._weight_sums[node_id] = array("d", accumulate(weights))
+        return sums
+
+    def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:
+        """Ids of the edges with at most max_targets targets that a step can land on node_id by.
+
+        These are undirected edges among out_edges(node_id) and directed
+        edges with node_id in their head, fewest targets first. The list
+        for a node is sorted on first use; the heads of all directed edges
+        are gathered on the first call.
+        """
+        found = self._target_edges.get(node_id)
+        if found is None:
+            if self._head_edges is None:
+                self._head_edges = {}
+                for edge in self.edges:
+                    for n in edge.head:
+                        self._head_edges.setdefault(n, []).append(edge.edge_id)
+            edges = self.edges
+            ids = [e for e in self.out_edges(node_id) if not edges[e].tail]
+            ids += self._head_edges.get(node_id, ())
+            ids.sort(key=lambda e: len(edges[e].targets))
+            counts = array("I", [len(edges[e].targets) for e in ids])
+            found = self._target_edges[node_id] = (tuple(ids), counts)
+        ids, counts = found
+        return ids[:bisect_right(counts, max_targets)]
+
     # -- freezing ---------------------------------------------------------
 
     def freeze(self) -> "Hypergraph":
@@ -241,6 +300,7 @@ class Hypergraph:
         if self._frozen:
             return self
         out_edges: list[list[int]] = [[] for _ in self.nodes]
+        contained_in: dict[int, set[int]] = {}
         doc_edges = 0
         for edge in self.edges:
             key = (edge.kind, edge.members, edge.tail, edge.head, edge.doc_id)
@@ -248,6 +308,9 @@ class Hypergraph:
                 raise InvariantError(f"edge {edge.edge_id} was changed after add_edge")
             if edge.kind is EdgeKind.DOCUMENT:
                 doc_edges += 1
+            elif edge.kind is EdgeKind.CONTAINED_IN:
+                for n in edge.tail:
+                    contained_in.setdefault(n, set()).update(edge.head)
             if edge.tail or len(edge.members) > 1:
                 for n in edge.tail or edge.members:
                     out_edges[n].append(edge.edge_id)
@@ -263,6 +326,7 @@ class Hypergraph:
             if any(n.weight is None for n in self.nodes) or any(e.weight is None for e in self.edges):
                 raise InvariantError("weighted graph has unweighted elements")
         self._out_edges = [tuple(ids) for ids in out_edges]
+        self._contained_in = {n: tuple(sorted(heads)) for n, heads in contained_in.items()}
         self._frozen = True
         return self
 

@@ -15,6 +15,20 @@ blocked for exactly the next `delta` sampling decisions, i.e. clocks
 t+1 .. t+delta. The clock advances only when some walker executes a step,
 so a walk that finds no eligible transition ends early without a tick.
 
+Cost of a step: an unweighted step does not list its eligible out-edges.
+An out-edge is ruled out only when it is fatigued or every target other
+than the source is fatigued, and the latter needs at most (fatigued nodes
++ 1) targets. So a step bisects the current node's sorted out-edges for
+each fatigued edge and for the fewest-target edges that land on each
+fatigued node (`Hypergraph.target_edges`), draws integers(eligible count)
+and steps over the excluded positions: O(log deg) per fatigued element,
+not O(deg). An unfatigued weighted step bisects the running sums of the
+out-edge weights (`Hypergraph.out_weight_sums`). A weighted step under
+fatigue lists the eligible out-edges and their weights, O(deg). A node
+found to have no eligible transition goes into `FatigueTable.dead_ends`
+until the clock next ticks, so walks that start from it again end at
+once, without a draw.
+
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
 (big-endian) of sha256(query utf-8). Each step consumes exactly one draw to
@@ -27,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -79,14 +93,20 @@ class Ranking:
 
 
 class FatigueTable:
-    """Countdowns for recently traversed edges and recently visited nodes."""
+    """Countdowns for recently traversed edges and recently visited nodes.
 
-    __slots__ = ("nodes", "edges", "clock")
+    `dead_ends` holds the nodes a walk found no eligible transition from
+    since the clock last ticked; nothing else changes the countdowns, so
+    they stay dead until the next tick.
+    """
+
+    __slots__ = ("nodes", "edges", "clock", "dead_ends")
 
     def __init__(self):
         self.nodes: dict[int, int] = {}
         self.edges: dict[int, int] = {}
         self.clock = 0
+        self.dead_ends: set[int] = set()
 
     def advance(self, edge_id: int, target_id: int, node_fatigue: int, edge_fatigue: int) -> None:
         """Tick the clock for one executed step, then fatigue its elements.
@@ -96,6 +116,7 @@ class FatigueTable:
         `delta` subsequent decisions.
         """
         self.clock += 1
+        self.dead_ends.clear()
         if self.nodes:
             self.nodes = {n: v - 1 for n, v in self.nodes.items() if v > 1}
         if self.edges:
@@ -129,11 +150,7 @@ def map_query_to_seeds(graph: Hypergraph, query: str) -> SeedSet:
         node_id = graph.node_id(NodeKind.TERM, term)
         if node_id is None:
             continue
-        entities: set[int] = set()
-        for edge_id in graph.out_edges(node_id):
-            if graph.edges[edge_id].kind is EdgeKind.CONTAINED_IN:
-                entities.update(graph.edges[edge_id].head)
-        seeds.update(entities or (node_id,))
+        seeds.update(graph.contained_in(node_id) or (node_id,))
     return SeedSet(query, tuple(sorted(seeds)))
 
 
@@ -152,6 +169,9 @@ def random_walk(
     node is not a visit. The walk ends early when no eligible transition
     remains.
     """
+    # only the start can be a known dead end: each executed step clears the memo
+    if start in fatigue.dead_ends:
+        return [], [], 0
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     nodes = graph.nodes
@@ -160,20 +180,37 @@ def random_walk(
     visited_nodes: list[int] = []
     current = start
     for _ in range(length):
-        options = out_edges(current)
+        out = out_edges(current)
         fatigued = fatigue.nodes
-        if fatigue.edges or fatigued:
+        if not weighted:
+            excluded = ()
+            if fatigue.edges or fatigued:
+                excluded = _excluded_positions(graph, out, current, fatigue)
+            count = len(out) - len(excluded)
+            if count:
+                # the k-th eligible out-edge: step k past each excluded position up to it
+                k = int(rng.integers(count))
+                for position in excluded:
+                    if position > k:
+                        break
+                    k += 1
+                edge_id = out[k]
+        elif fatigue.edges or fatigued:
             options = [
-                edge_id for edge_id in options
+                edge_id for edge_id in out
                 if edge_id not in fatigue.edges and _has_target(edges[edge_id], current, fatigued)
             ]
-        if not options:
-            break
-        if weighted:
-            weights = [edges[e].weight for e in options]
-            edge_id = options[_cumulative_pick(weights, float(rng.random()))]
+            count = len(options)
+            if count:
+                weights = [edges[e].weight for e in options]
+                edge_id = options[_cumulative_pick(weights, float(rng.random()))]
         else:
-            edge_id = options[int(rng.integers(len(options)))]
+            count = len(out)
+            if count:
+                edge_id = out[_pick(graph.out_weight_sums(current), float(rng.random()))]
+        if not count:
+            fatigue.dead_ends.add(current)
+            break
         edge = edges[edge_id]
         if weighted or fatigued or edge.head:
             targets = [t for t in edge.targets if t != current and t not in fatigued]
@@ -197,6 +234,34 @@ def random_walk(
     return visited_edges, visited_nodes, len(visited_edges)
 
 
+def _excluded_positions(
+    graph: Hypergraph, out: tuple[int, ...], source: int, fatigue: FatigueTable
+) -> list[int]:
+    """Ascending positions in `out`, the out-edges of source, that fatigue rules out.
+
+    An out-edge is ruled out when it is fatigued, or when every target
+    other than source is fatigued. The second needs at most
+    len(fatigue.nodes) + 1 targets, so only the fewest-target edges that
+    land on each fatigued node are checked.
+    """
+    fatigued = fatigue.nodes
+    edges = graph.edges
+    target_edges = graph.target_edges
+    candidates = set(fatigue.edges)
+    bound = len(fatigued) + 1
+    for node in fatigued:
+        for edge_id in target_edges(node, bound):
+            if not _has_target(edges[edge_id], source, fatigued):
+                candidates.add(edge_id)
+    positions = []
+    for edge_id in candidates:
+        i = bisect_left(out, edge_id)
+        if i < len(out) and out[i] == edge_id:
+            positions.append(i)
+    positions.sort()
+    return positions
+
+
 def _has_target(edge: Hyperedge, source: int, fatigued: dict[int, int]) -> bool:
     """True when a step over edge can still reach an unfatigued node other than source."""
     for node in edge.targets:
@@ -207,7 +272,11 @@ def _has_target(edge: Hyperedge, source: int, fatigued: dict[int, int]) -> bool:
 
 def _cumulative_pick(weights: Sequence[float], u: float) -> int:
     """The first index whose running weight sum exceeds u times the total."""
-    cumulative = list(accumulate(weights))
+    return _pick(list(accumulate(weights)), u)
+
+
+def _pick(cumulative: Sequence[float], u: float) -> int:
+    """The first index of the running sums `cumulative` that exceeds u times the total."""
     return min(bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
 
 

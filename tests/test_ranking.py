@@ -140,6 +140,28 @@ def test_walk_from_isolated_node():
     assert random_walk(g, lone, 4, FatigueTable(), RankingParams(), rng) == ([], [], 0)
 
 
+def test_locked_up_walk_makes_no_draw_until_the_clock_ticks():
+    g = Hypergraph()
+    a, b, c, d = (g.upsert_node(NodeKind.TERM, name) for name in "abcd")
+    e_ab = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    e_cd = g.add_edge(EdgeKind.SYNONYM, members=[c, d])
+    g.freeze()
+    params = RankingParams(node_fatigue=1)
+    fatigue, rng = FatigueTable(), make_stream(0, "lock")
+    assert random_walk(g, a, 1, fatigue, params, rng) == ([e_ab], [b], 1)
+    # b is fatigued for the next decision, so a has no transition: the first
+    # attempt finds that out, the second reads the memo; neither draws
+    for _ in range(2):
+        state = rng.bit_generator.state
+        assert random_walk(g, a, 3, fatigue, params, rng) == ([], [], 0)
+        assert rng.bit_generator.state == state
+        assert fatigue.dead_ends == {a}
+    # a step elsewhere ticks the clock, which ends b's window and the memo
+    assert random_walk(g, c, 1, fatigue, params, rng) == ([e_cd], [d], 1)
+    assert fatigue.dead_ends == set()
+    assert random_walk(g, a, 1, fatigue, params, rng) == ([e_ab], [b], 1)
+
+
 def test_walk_rejects_unknown_start():
     graph, *_ = line_graph()
     with pytest.raises(InputError):
