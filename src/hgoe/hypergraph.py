@@ -14,8 +14,8 @@ ContainedIn edges (`contained_in`), which seed mapping reads.
 
 Two walk tables are derived from the frozen graph and filled per node on
 first use, not at freeze: the running sums of a node's out-edge weights
-(`out_weight_sums`) and the edges that can land on a node, fewest targets
-first (`target_edges`). They only cache what the edges already say, so a
+(`out_weight_sums`) and the edges with few targets that can land on a node
+(`target_edges`). They only cache what the edges already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
 
@@ -135,7 +135,7 @@ class Hypergraph:
         self._contained_in: dict[int, tuple[int, ...]] = {}
         # derived walk tables, filled on first use
         self._weight_sums: dict[int, array] = {}
-        self._target_edges: dict[int, tuple[tuple[int, ...], array]] = {}
+        self._target_edges: dict[int, tuple[int, tuple[int, ...], array]] = {}
         self._head_edges: dict[int, list[int]] | None = None
 
     # -- construction -----------------------------------------------------
@@ -273,24 +273,28 @@ class Hypergraph:
         """Ids of the edges with at most max_targets targets that a step can land on node_id by.
 
         These are undirected edges among out_edges(node_id) and directed
-        edges with node_id in their head, fewest targets first. The list
-        for a node is sorted on first use; the heads of all directed edges
-        are gathered on the first call.
+        edges with node_id in their head, fewest targets first. A node's
+        list is filled on first use with the edges of up to 2 * max_targets
+        targets and refilled only when a caller asks for more, so each node
+        is scanned O(log max_targets) times and keeps only small edges. The
+        heads of all directed edges are gathered on the first call.
         """
         found = self._target_edges.get(node_id)
-        if found is None:
+        if found is None or found[0] < max_targets:
             if self._head_edges is None:
                 self._head_edges = {}
                 for edge in self.edges:
                     for n in edge.head:
                         self._head_edges.setdefault(n, []).append(edge.edge_id)
             edges = self.edges
-            ids = [e for e in self.out_edges(node_id) if not edges[e].tail]
-            ids += self._head_edges.get(node_id, ())
+            covered = 2 * max_targets
+            ids = [e for e in self.out_edges(node_id)
+                   if not edges[e].tail and len(edges[e].members) <= covered]
+            ids += [e for e in self._head_edges.get(node_id, ()) if len(edges[e].head) <= covered]
             ids.sort(key=lambda e: len(edges[e].targets))
             counts = array("I", [len(edges[e].targets) for e in ids])
-            found = self._target_edges[node_id] = (tuple(ids), counts)
-        ids, counts = found
+            found = self._target_edges[node_id] = (covered, tuple(ids), counts)
+        _, ids, counts = found
         return ids[:bisect_right(counts, max_targets)]
 
     # -- freezing ---------------------------------------------------------

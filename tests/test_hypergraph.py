@@ -151,6 +151,25 @@ def test_transitions_respect_exclusions():
         g.out_edges(42)
 
 
+def test_target_edges_lists_small_edges_fewest_targets_first():
+    g, a, b, c, e = small_graph()
+    f = g.upsert_node(NodeKind.ENTITY, "other")
+    h = g.upsert_node(NodeKind.ENTITY, "third")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e])
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c, e, f, h], doc_id="d1")
+    pair = g.add_edge(EdgeKind.RELATED_TO, members=[e, f])
+    triple = g.add_edge(EdgeKind.RELATED_TO, members=[e, f, h])
+    g.freeze()
+    # each call asks for more targets than the one before it
+    assert g.target_edges(e, 1) == (contained,)
+    assert g.target_edges(e, 3) == (contained, pair, triple)
+    assert g.target_edges(e, 5) == (contained, pair, triple)
+    assert g.target_edges(e, 6) == (contained, pair, triple, doc)
+    assert g.target_edges(e, 1) == (contained,)
+    # a tail node is not a target of its directed edge
+    assert g.target_edges(a, 10) == (doc,)
+
+
 def test_source_node_never_a_target():
     rng = np.random.default_rng(3)
     for _ in range(10):
