@@ -251,7 +251,7 @@ class Hypergraph:
         raise InputError(f"unknown node id {node_id}")
 
     def contained_in(self, node_id: int) -> tuple[int, ...]:
-        """Entities node_id reaches over ContainedIn edges (as a tail term), ascending."""
+        """Entities node_id reaches over ContainedIn edges (as a tail term), in edge order."""
         if not self._frozen:
             raise InvariantError("graph must be frozen before walking")
         return self._contained_in.get(node_id, ())
@@ -304,7 +304,7 @@ class Hypergraph:
         if self._frozen:
             return self
         out_edges: list[list[int]] = [[] for _ in self.nodes]
-        contained_in: dict[int, set[int]] = {}
+        contained_in: dict[int, list[int]] = {}
         doc_edges = 0
         for edge in self.edges:
             key = (edge.kind, edge.members, edge.tail, edge.head, edge.doc_id)
@@ -314,7 +314,7 @@ class Hypergraph:
                 doc_edges += 1
             elif edge.kind is EdgeKind.CONTAINED_IN:
                 for n in edge.tail:
-                    contained_in.setdefault(n, set()).update(edge.head)
+                    contained_in.setdefault(n, []).extend(edge.head)
             if edge.tail or len(edge.members) > 1:
                 for n in edge.tail or edge.members:
                     out_edges[n].append(edge.edge_id)
@@ -330,7 +330,7 @@ class Hypergraph:
             if any(n.weight is None for n in self.nodes) or any(e.weight is None for e in self.edges):
                 raise InvariantError("weighted graph has unweighted elements")
         self._out_edges = [tuple(ids) for ids in out_edges]
-        self._contained_in = {n: tuple(sorted(heads)) for n, heads in contained_in.items()}
+        self._contained_in = {n: tuple(heads) for n, heads in contained_in.items()}
         self._frozen = True
         return self
 
