@@ -19,41 +19,58 @@ first use, not at freeze: the running sums of a node's out-edge weights
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
 
-Binary index format (version 2, integers little-endian, node and edge ids
-implicit from record order):
+Binary index format (version 3, little-endian). A header is followed by
+sixteen array sections, each a u32 byte length and then its items; node and
+edge ids are positions in the node and edge sections:
 
     offset 0: magic bytes "HGOE"
-    u32 format version (= 2)
+    u32 format version (= 3)
     u8  variant code (0 = base, 1 = syns-context, 2 = weighted)
     u32 node count, u32 edge count, u32 document count
-    node records:
-        u8 kind, u8 has_weight, [f64 weight], u32 label length, label utf-8
-    edge records:
-        u8 kind
-        u8 flags (bit 0 directed, bit 1 has_weight, bit 2 has_doc_id)
-        [f64 weight]
-        [u32 doc id length, doc id utf-8]
-        undirected: u32 member count, u32 member node ids
-        directed:   u32 tail count, u32 tail ids, u32 head count, u32 head ids
-        u32 similarity count, f64 similarities (context edges only)
+    node kinds          u8 per node
+    node weight flags   u8 per node (1 = weighted)
+    node weights        f64 per weighted node
+    label ends          u32 per node: end of its label in the labels blob
+    labels              the labels, utf-8, end to end
+    edge kinds          u8 per edge
+    edge weight flags   u8 per edge
+    edge weights        f64 per weighted edge
+    doc id ends         u32 per Document edge
+    doc ids             the doc ids, utf-8, end to end
+    member ends         u32 per edge: end of its members (tail if directed)
+    members             u32 node ids
+    head ends           u32 per directed edge
+    heads               u32 node ids
+    similarity ends     u32 per edge
+    similarities        f64 Context similarities
 
-Loading replays the records, builds the walk table, and raises FormatError
-with the failing byte offset on truncated or corrupted input.
+An edge's kind decides whether it is directed (`_KIND_RULES`) and whether
+it has a doc id (Document edges only), so neither is stored. Loading checks each section whole
+with numpy (counts, ids in range, strictly ascending members, kind rules,
+the document count, weights in (0, 1]), then builds the node and edge
+records and their indexes directly, with no `add_edge` replay, and freezes
+the graph. Every check `add_edge` or `freeze` would make holds before the
+first record is built, so an index loads as exactly the graph that saves
+back to the same bytes. A malformed file raises FormatError naming the
+file, the section and the byte offset of the first bad item.
 """
 from __future__ import annotations
 
+import gc
 import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from itertools import accumulate
-from typing import Iterable
+from itertools import accumulate, chain
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import FormatError, InputError, InvariantError
 
 FORMAT_MAGIC = b"HGOE"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class NodeKind(IntEnum):
@@ -118,6 +135,8 @@ _KIND_RULES: dict[EdgeKind, tuple] = {
     EdgeKind.SYNONYM: ({NodeKind.TERM}, None, None),
     EdgeKind.CONTEXT: ({NodeKind.TERM}, None, None),
 }
+# Edge kinds that join at least two members.
+_PAIRWISE_KINDS = frozenset({EdgeKind.RELATED_TO, EdgeKind.SYNONYM, EdgeKind.CONTEXT})
 
 
 class Hypergraph:
@@ -219,7 +238,7 @@ class Hypergraph:
             bad += [n for n in head if self.nodes[n].kind not in head_kinds]
         if bad:
             raise InvariantError(f"{kind.name} edge touches nodes of a forbidden kind: {bad}")
-        if kind in (EdgeKind.RELATED_TO, EdgeKind.SYNONYM, EdgeKind.CONTEXT) and len(members) < 2:
+        if kind in _PAIRWISE_KINDS and len(members) < 2:
             raise InvariantError(f"{kind.name} edge needs at least two members")
 
         if doc_id in self._doc_edges:
@@ -358,143 +377,303 @@ class Hypergraph:
 
     def save(self, path: str) -> None:
         """Write the binary index; identical graphs produce identical bytes."""
-        out = bytearray()
-        out += FORMAT_MAGIC
-        out += struct.pack("<I", FORMAT_VERSION)
-        out += struct.pack("<B", _VARIANT_CODES[self.variant])
-        out += struct.pack("<III", len(self.nodes), len(self.edges), self.doc_count)
-        for node in self.nodes:
-            out += struct.pack("<BB", int(node.kind), 1 if node.weight is not None else 0)
-            if node.weight is not None:
-                out += struct.pack("<d", node.weight)
-            _pack_str(out, node.label)
-        for edge in self.edges:
-            flags = (1 if edge.directed else 0)
-            flags |= (2 if edge.weight is not None else 0)
-            flags |= (4 if edge.doc_id is not None else 0)
-            out += struct.pack("<BB", int(edge.kind), flags)
-            if edge.weight is not None:
-                out += struct.pack("<d", edge.weight)
-            if edge.doc_id is not None:
-                _pack_str(out, edge.doc_id)
-            if edge.directed:
-                out += struct.pack("<I", len(edge.tail))
-                out += struct.pack(f"<{len(edge.tail)}I", *edge.tail)
-                out += struct.pack("<I", len(edge.head))
-                out += struct.pack(f"<{len(edge.head)}I", *edge.head)
-            else:
-                out += struct.pack("<I", len(edge.members))
-                out += struct.pack(f"<{len(edge.members)}I", *edge.members)
-            out += struct.pack("<I", len(edge.context_sims))
-            if edge.context_sims:
-                out += struct.pack(f"<{len(edge.context_sims)}d", *edge.context_sims)
+        nodes, edges = self.nodes, self.edges
+        labels = [node.label.encode("utf-8") for node in nodes]
+        doc_ids = [edge.doc_id.encode("utf-8") for edge in edges if edge.doc_id is not None]
+        directed = [edge for edge in edges if edge.directed]
+        sections = (
+            bytes(node.kind for node in nodes),
+            bytes(node.weight is not None for node in nodes),
+            _f64(node.weight for node in nodes if node.weight is not None),
+            _ends(labels),
+            b"".join(labels),
+            bytes(edge.kind for edge in edges),
+            bytes(edge.weight is not None for edge in edges),
+            _f64(edge.weight for edge in edges if edge.weight is not None),
+            _ends(doc_ids),
+            b"".join(doc_ids),
+            _ends(edge.tail or edge.members for edge in edges),
+            _u32(chain.from_iterable(edge.tail or edge.members for edge in edges)),
+            _ends(edge.head for edge in directed),
+            _u32(chain.from_iterable(edge.head for edge in directed)),
+            _ends(edge.context_sims for edge in edges),
+            _f64(chain.from_iterable(edge.context_sims for edge in edges)),
+        )
+        out = bytearray(_HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, _VARIANT_CODES[self.variant],
+                                     len(nodes), len(edges), self.doc_count))
+        for payload in sections:
+            out += struct.pack("<I", len(payload))
+            out += payload
         with open(path, "wb") as fh:
             fh.write(out)
 
     @classmethod
     def load(cls, path: str) -> "Hypergraph":
-        """Read a binary index and return the frozen graph."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        cur = _Cursor(data)
-        magic = cur.read(4, "magic")
-        if magic != FORMAT_MAGIC:
-            raise FormatError(f"bad magic bytes {magic!r} at offset 0, expected {FORMAT_MAGIC!r}")
-        version = cur.u32("format version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {version} at offset 4")
-        variant_code = cur.u8("variant code")
-        if variant_code not in _CODE_VARIANTS:
-            raise FormatError(f"unknown variant code {variant_code} at offset 8")
-        graph = cls(_CODE_VARIANTS[variant_code])
-        node_count = cur.u32("node count")
-        edge_count = cur.u32("edge count")
-        doc_count = cur.u32("document count")
-        for node_id in range(node_count):
-            kind_code = cur.u8("node kind")
-            if kind_code not in (0, 1):
-                raise FormatError(f"unknown node kind {kind_code} near offset {cur.offset}")
-            weight = cur.f64("node weight") if cur.u8("weight flag") else None
-            label = cur.string("node label")
-            nid = graph.upsert_node(NodeKind(kind_code), label)
-            if nid != node_id:
-                raise FormatError(f"duplicate node record near offset {cur.offset}")
-            graph.nodes[nid].weight = weight
-        for edge_id in range(edge_count):
-            kind_code = cur.u8("edge kind")
-            if kind_code not in (0, 1, 2, 3, 4):
-                raise FormatError(f"unknown edge kind {kind_code} near offset {cur.offset}")
-            flags = cur.u8("edge flags")
-            weight = cur.f64("edge weight") if flags & 2 else None
-            doc_id = cur.string("doc id") if flags & 4 else None
-            if flags & 1:
-                tail = cur.array("I", "tail")
-                head = cur.array("I", "head")
-                members = ()
-            else:
-                members = cur.array("I", "member")
-                tail = head = ()
-            sims = list(cur.array("d", "similarity"))
-            try:
-                eid = graph.add_edge(EdgeKind(kind_code), members, tail, head, doc_id)
-            except (InputError, InvariantError) as exc:
-                raise FormatError(f"invalid edge record near offset {cur.offset}: {exc}") from exc
-            if eid != edge_id:
-                raise FormatError(f"duplicate edge record near offset {cur.offset}")
-            graph.edges[eid].weight = weight
-            graph.edges[eid].context_sims = sims
-        if cur.offset != len(data):
-            raise FormatError(f"trailing data at offset {cur.offset}")
-        if doc_count != graph.doc_count:
-            raise FormatError(
-                f"document count field says {doc_count} but {graph.doc_count} Document edges found"
-            )
+        """Read a binary index and return the frozen graph.
+
+        A malformed file raises FormatError naming the file, the section and
+        the byte offset of the first bad item.
+        """
+        # The records form no reference cycles, so the cyclic collector would
+        # only walk the growing graph again and again while it is built (about
+        # a quarter of a fresh process's load). It is switched back on after.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
+            with open(path, "rb") as fh:
+                graph = _read_index(fh.read())
             return graph.freeze()
-        except InvariantError as exc:
-            raise FormatError(f"index fails validation: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        finally:
+            if collecting:
+                gc.enable()
 
 
-def _pack_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    out += struct.pack("<I", len(raw))
-    out += raw
+# Header: magic, u32 format version, u8 variant code, u32 node, edge and document counts.
+_HEADER = struct.Struct("<4sIBIII")
+
+# _KIND_RULES as tables indexed [edge kind, node kind], for checking whole sections at once.
+# Members, or the tail of a directed edge, are the "first" ids of an edge.
+_RULES = [_KIND_RULES[kind] for kind in EdgeKind]
+_DIRECTED = np.array([members is None for members, _, _ in _RULES])
+_FIRST_KINDS = np.array([[node in (members if members is not None else tail) for node in NodeKind]
+                         for members, tail, _ in _RULES])
+_HEAD_KINDS = np.array([[head is not None and node in head for node in NodeKind]
+                        for _, _, head in _RULES])
+_MIN_FIRST = np.array([2 if kind in _PAIRWISE_KINDS else 1 for kind in EdgeKind])
+_NODE_KINDS = tuple(NodeKind)
+_EDGE_KINDS = tuple(EdgeKind)
 
 
-class _Cursor:
-    """Byte reader that reports the offset of whatever failed."""
+class _Section(NamedTuple):
+    """One array section of an index file: its name, the offset of its first item, its items."""
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
+    name: str
+    start: int
+    items: np.ndarray
 
-    def read(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
+    def reject(self, bad: np.ndarray, problem: Callable[[int], str]) -> None:
+        """Raise FormatError at the first item flagged in `bad`, described by problem(index)."""
+        if bad.any():
+            i = int(bad.argmax())
+            self.fail(i, problem(i))
+
+    def fail(self, i: int, problem: str) -> None:
+        offset = self.start + i * self.items.itemsize
+        raise FormatError(f"{self.name} section: {problem} at offset {offset}")
+
+
+def _read_index(data: bytes) -> Hypergraph:
+    """Check a whole index file and build its graph, not yet frozen.
+
+    Every section is checked before the first record is built, so the graph
+    `freeze` receives already satisfies every rule it checks.
+    """
+    if data[:4] != FORMAT_MAGIC:
+        raise FormatError(f"bad magic bytes {data[:4]!r} at offset 0, expected {FORMAT_MAGIC!r}")
+    version = _field(data, 4, "<I", "format version")
+    if version != FORMAT_VERSION:
+        stale = version < FORMAT_VERSION
+        hint = "; it predates this hgoe, rebuild it with `hgoe index`" if stale else ""
+        raise FormatError(f"unsupported format version {version} at offset 4{hint}")
+    variant_code = _field(data, 8, "<B", "variant code")
+    if variant_code not in _CODE_VARIANTS:
+        raise FormatError(f"unknown variant code {variant_code} at offset 8")
+    variant = _CODE_VARIANTS[variant_code]
+    node_count = _field(data, 9, "<I", "node count")
+    edge_count = _field(data, 13, "<I", "edge count")
+    doc_count = _field(data, 17, "<I", "document count")
+    offset = _HEADER.size
+
+    def section(name: str, dtype: str, count: int) -> _Section:
+        nonlocal offset
+        length = _field(data, offset, "<I", f"{name} section length")
+        size = count * np.dtype(dtype).itemsize
+        if length != size:
             raise FormatError(
-                f"truncated index file: needed {n} bytes for {what} at offset {self.offset}"
-            )
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
+                f"{name} section: length {length}, expected {size}, at offset {offset}")
+        start = offset + 4
+        if start + size > len(data):
+            raise FormatError(
+                f"truncated index file: {name} section needs {size} bytes at offset {start}")
+        offset = start + size
+        return _Section(name, start, np.frombuffer(data, dtype, count, start))
 
-    def u8(self, what: str) -> int:
-        return self.read(1, what)[0]
+    node_kinds = section("node kinds", "u1", node_count)
+    node_kinds.reject(node_kinds.items >= len(NodeKind),
+                      lambda i: f"unknown node kind {node_kinds.items[i]}")
+    node_flags = section("node weight flags", "u1", node_count)
+    _check_flags(node_flags, variant)
+    node_weights = section("node weights", "<f8", int(node_flags.items.sum()))
+    _check_weights(node_weights)
+    label_ends = section("label ends", "<u4", node_count)
+    _spans(label_ends, 1)
+    labels = _strings(label_ends, section("labels", "u1", _total(label_ends)))
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.read(4, what))[0]
+    edge_kinds = section("edge kinds", "u1", edge_count)
+    kinds = edge_kinds.items
+    edge_kinds.reject(kinds >= len(EdgeKind), lambda i: f"unknown edge kind {kinds[i]}")
+    edge_flags = section("edge weight flags", "u1", edge_count)
+    _check_flags(edge_flags, variant)
+    edge_weights = section("edge weights", "<f8", int(edge_flags.items.sum()))
+    _check_weights(edge_weights)
+    documents = int((kinds == EdgeKind.DOCUMENT).sum())
+    if doc_count != documents:
+        raise FormatError(f"document count field says {doc_count} but {documents} "
+                          "Document edges found at offset 17")
+    doc_id_ends = section("doc id ends", "<u4", documents)
+    _spans(doc_id_ends, 0)
+    doc_ids = _strings(doc_id_ends, section("doc ids", "u1", _total(doc_id_ends)))
+    member_ends = section("member ends", "<u4", edge_count)
+    member_counts = _spans(member_ends, _MIN_FIRST[kinds])
+    members = section("members", "<u4", _total(member_ends))
+    _check_ids(members, member_counts, kinds, _FIRST_KINDS, node_kinds.items)
+    directed = _DIRECTED[kinds]
+    head_ends = section("head ends", "<u4", int(directed.sum()))
+    head_counts = _spans(head_ends, 1)
+    heads = section("heads", "<u4", _total(head_ends))
+    _check_ids(heads, head_counts, kinds[directed], _HEAD_KINDS, node_kinds.items)
+    sim_ends = section("similarity ends", "<u4", edge_count)
+    _spans(sim_ends, 0)
+    sims = section("similarities", "<f8", _total(sim_ends))
+    if offset != len(data):
+        raise FormatError(f"trailing data at offset {offset}")
 
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.read(8, what))[0]
+    graph = Hypergraph(variant)
+    node_weight = iter(node_weights.items.tolist())
+    graph.nodes = [
+        Node(node_id, _NODE_KINDS[kind], label, next(node_weight) if flag else None)
+        for node_id, (kind, flag, label) in enumerate(
+            zip(node_kinds.items.tolist(), node_flags.items.tolist(), labels))
+    ]
+    keys = [(node.kind, node.label) for node in graph.nodes]
+    graph._node_index = {key: node.node_id for key, node in zip(keys, graph.nodes)}
+    if len(graph._node_index) < node_count:
+        _repeated(label_ends, keys, "node")
 
-    def array(self, code: str, what: str) -> tuple:
-        """A u32 count, then that many little-endian items of struct type code."""
-        fmt = f"<{self.u32(f'{what} count')}{code}"
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), f"{what} entries"))
+    # Edges hold the nodes' own id objects, as in a graph built by add_edge,
+    # not one int object per member.
+    node_id = [node.node_id for node in graph.nodes].__getitem__
+    edge_weight = iter(edge_weights.items.tolist())
+    doc_id = iter(doc_ids)
+    is_directed = _DIRECTED.tolist()
+    member_stops = member_ends.items.tolist()
+    head_stops = head_ends.items.tolist()
+    head_spans = zip([0, *head_stops], head_stops)
+    sim_stops = sim_ends.items.tolist()
+    member_ids, head_ids, sim_values = members.items, heads.items, sims.items
+    for edge_id, (kind, flag, start, end, sim_start, sim_end) in enumerate(zip(
+            kinds.tolist(), edge_flags.items.tolist(), [0, *member_stops], member_stops,
+            [0, *sim_stops], sim_stops)):
+        first = tuple(map(node_id, member_ids[start:end].tolist()))
+        if is_directed[kind]:
+            head_start, head_end = next(head_spans)
+            head = tuple(map(node_id, head_ids[head_start:head_end].tolist()))
+            undirected, tail = (), first
+        else:
+            undirected, tail, head = first, (), ()
+        graph.edges.append(Hyperedge(
+            edge_id, _EDGE_KINDS[kind], undirected, tail, head,
+            next(doc_id) if kind == EdgeKind.DOCUMENT else None,
+            next(edge_weight) if flag else None,
+            sim_values[sim_start:sim_end].tolist() if sim_end > sim_start else [],
+        ))
+    graph._doc_edges = {edge.doc_id: edge.edge_id
+                        for edge in graph.edges if edge.doc_id is not None}
+    if len(graph._doc_edges) < documents:
+        _repeated(doc_id_ends, doc_ids, "doc id")
+    keys = [(edge.kind, edge.members, edge.tail, edge.head, edge.doc_id) for edge in graph.edges]
+    graph._edge_index = {key: edge.edge_id for key, edge in zip(keys, graph.edges)}
+    if len(graph._edge_index) < edge_count:
+        _repeated(edge_kinds, keys, "edge")
+    return graph
 
-    def string(self, what: str) -> str:
-        length = self.u32(f"{what} length")
-        raw = self.read(length, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid utf-8 in {what} at offset {self.offset - length}") from exc
+
+def _field(data: bytes, offset: int, fmt: str, what: str) -> int:
+    """One header or section-length field, or FormatError if the file ends first."""
+    size = struct.calcsize(fmt)
+    if offset + size > len(data):
+        raise FormatError(
+            f"truncated index file: needed {size} bytes for {what} at offset {offset}")
+    return struct.unpack_from(fmt, data, offset)[0]
+
+
+def _check_flags(flags: _Section, variant: Variant) -> None:
+    values = flags.items
+    flags.reject(values > 1, lambda i: f"weight flag {values[i]} is neither 0 nor 1")
+    if variant is Variant.WEIGHTED:
+        flags.reject(values == 0, lambda i: f"element {i} of a weighted graph has no weight")
+
+
+def _check_weights(weights: _Section) -> None:
+    values = weights.items
+    weights.reject(~((values > 0.0) & (values <= 1.0)),
+                   lambda i: f"weight {values[i]} outside (0, 1]")
+
+
+def _spans(ends: _Section, minimum: int | np.ndarray) -> np.ndarray:
+    """Item counts of the spans `ends` closes; each holds at least `minimum` (int or per span)."""
+    stops = ends.items.astype(np.int64)
+    counts = np.diff(stops, prepend=0)
+    need = np.broadcast_to(minimum, counts.shape)
+    ends.reject(counts < need, lambda i: f"span {i} ends at {stops[i]} and holds {counts[i]} items, "
+                                         f"fewer than {need[i]}")
+    return counts
+
+
+def _total(ends: _Section) -> int:
+    return int(ends.items[-1]) if len(ends.items) else 0
+
+
+def _strings(ends: _Section, blob: _Section) -> list[str]:
+    """The UTF-8 strings packed in `blob`, one ending at each of `ends`."""
+    raw = blob.items.tobytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{blob.name} section: invalid utf-8 at offset {blob.start + exc.start}") from None
+    stops = ends.items.astype(np.int64)
+    continuation = np.flatnonzero((blob.items & 0xC0) == 0x80)
+    ends.reject(np.isin(stops, continuation), lambda i: f"string {i} ends inside a utf-8 character")
+    # A byte offset less the continuation bytes before it is the character offset.
+    chars = (stops - np.searchsorted(continuation, stops)).tolist()
+    return [text[start:end] for start, end in zip([0, *chars], chars)]
+
+
+def _check_ids(ids: _Section, counts: np.ndarray, kinds: np.ndarray, allowed: np.ndarray,
+               node_kinds: np.ndarray) -> None:
+    """Check node ids packed per edge: in range, strictly ascending within an edge,
+    and of a node kind `allowed[edge kind, node kind]` permits."""
+    values = ids.items
+    ids.reject(values >= len(node_kinds), lambda i: f"node id {values[i]} out of range")
+    ascending = np.ones(len(values), dtype=bool)
+    ascending[1:] = values[1:] > values[:-1]
+    ascending[np.cumsum(counts) - counts] = True  # each edge's first id
+    ids.reject(~ascending, lambda i: f"node id {values[i]} does not exceed the id before it")
+    edge_kinds = np.repeat(kinds, counts)
+    ids.reject(~allowed[edge_kinds, node_kinds[values]],
+               lambda i: f"node {values[i]} of kind {NodeKind(int(node_kinds[values[i]])).name} "
+                         f"in a {EdgeKind(int(edge_kinds[i])).name} edge")
+
+
+def _repeated(section: _Section, keys: list, what: str) -> None:
+    """Raise FormatError at the first of `keys` that repeats an earlier one."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            section.fail(i, f"{what} {i} repeats an earlier {what}")
+        seen.add(key)
+
+
+def _u32(values: Iterable[int]) -> bytes:
+    return np.fromiter(values, "<u4").tobytes()
+
+
+def _f64(values: Iterable[float]) -> bytes:
+    return np.fromiter(values, "<f8").tobytes()
+
+
+def _ends(sequences: Iterable) -> bytes:
+    """u32 end offsets of sequences laid end to end."""
+    return _u32(accumulate(map(len, sequences)))

@@ -1,12 +1,16 @@
 """Graph construction, traversal rules and the binary index format."""
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgoe import (
+    CorpusDocument,
     EdgeKind,
     FatigueTable,
     FormatError,
@@ -16,6 +20,7 @@ from hgoe import (
     NodeKind,
     RankingParams,
     Variant,
+    index_corpus,
     random_walk,
 )
 from hgoe.ranking import make_stream
@@ -295,17 +300,70 @@ def test_every_truncation_names_an_offset(tmp_path):
             Hypergraph.load(str(path))
 
 
+def test_every_byte_flip_is_rejected_or_saved_back(tmp_path):
+    # A flipped byte either fails with an offset or leaves another valid index,
+    # and an index is the only encoding of the graph it loads as.
+    graph, _ = graphgen.random_graph(np.random.default_rng(25), Variant.WEIGHTED)
+    assert any(e.context_sims for e in graph.edges) and any(e.directed for e in graph.edges)
+    path, resaved = tmp_path / "g.hgoe", tmp_path / "again.hgoe"
+    graph.save(str(path))
+    data = path.read_bytes()
+    for i in range(len(data)):
+        for mask in (0x01, 0x80, 0xFF):
+            mutated = bytearray(data)
+            mutated[i] ^= mask
+            path.write_bytes(mutated)
+            try:
+                loaded = Hypergraph.load(str(path))
+            except FormatError as exc:
+                assert "offset" in str(exc), (i, mask, str(exc))
+                continue
+            loaded.save(str(resaved))
+            assert resaved.read_bytes() == mutated, (i, mask)
+
+
+def _empty_label(graph):
+    graph.nodes[0].label = ""
+
+
+def _members_out_of_order(graph):
+    graph.edges[0].members = graph.edges[0].members[::-1]
+
+
+def _repeated_member(graph):
+    graph.edges[0].members = graph.edges[0].members[:1] * 2
+
+
+# Offsets follow the layout in the hypergraph module docstring for small_graph
+# plus one Document edge: label ends start at 45, members at 113.
+@pytest.mark.parametrize("corrupt, message", [
+    (_empty_label, "label ends section: .* at offset 45$"),
+    (_members_out_of_order, "members section: node id 1 does not exceed .* at offset 117$"),
+    (_repeated_member, "members section: node id 0 does not exceed .* at offset 117$"),
+], ids=["empty-label", "members-out-of-order", "repeated-member"])
+def test_load_rejects_records_add_edge_cannot_make(tmp_path, corrupt, message):
+    g, a, b, c, e = small_graph()
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    corrupt(g)
+    path = tmp_path / "g.hgoe"
+    g.save(str(path))
+    with pytest.raises(FormatError, match=message):
+        Hypergraph.load(str(path))
+
+
 def test_unsupported_version_rejected(tmp_path):
     rng = np.random.default_rng(15)
     graph, _ = graphgen.random_graph(rng, Variant.BASE)
     path = tmp_path / "g.hgoe"
     graph.save(str(path))
     data = bytearray(path.read_bytes())
-    for version in (99, 1):
+    for version in (99, 1, 2):
         data[4] = version  # version field sits right after the magic
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match=f"unsupported format version {version} at offset 4"):
+        with pytest.raises(FormatError, match=f"unsupported format version {version} at offset 4") as err:
             Hypergraph.load(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2))
 
 
 def test_trailing_data_rejected(tmp_path):
@@ -316,6 +374,44 @@ def test_trailing_data_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(FormatError):
         Hypergraph.load(str(path))
+
+
+def test_load_leaves_the_cyclic_collector_as_it_was(tmp_path):
+    path = tmp_path / "g.hgoe"
+    graphgen.random_graph(np.random.default_rng(17), Variant.BASE)[0].save(str(path))
+    bad = tmp_path / "bad.hgoe"
+    bad.write_bytes(path.read_bytes()[:-1])
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            Hypergraph.load(str(path))
+            assert gc.isenabled() is enabled
+            with pytest.raises(FormatError):
+                Hypergraph.load(str(bad))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_load_peak_memory_stays_near_what_the_graph_keeps(tmp_path):
+    rng = np.random.default_rng(3)
+    zipf = 1.0 / np.arange(1, 10_001) ** 1.1
+    words = rng.choice(len(zipf), size=(2000, 80), p=zipf / zipf.sum())
+    links = rng.integers(0, 200, size=(2000, 2))
+    docs = [CorpusDocument(f"d{i}", " ".join(f"w{w}" for w in row), tuple(f"Place {e}" for e in pair))
+            for i, (row, pair) in enumerate(zip(words, links))]
+    path = tmp_path / "g.hgoe"
+    index_corpus(docs, Variant.BASE).save(str(path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = Hypergraph.load(str(path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.frozen and len(graph.edges) > 2000
+    assert peak <= 1.3 * retained, (peak, retained)
 
 
 @settings(max_examples=20, deadline=None)
