@@ -12,10 +12,11 @@ an undirected edge reaches any other member; a directed edge is traversed
 tail to head. The same pass records the entities each term reaches over
 ContainedIn edges (`contained_in`), which seed mapping reads.
 
-Two walk tables are derived from the frozen graph and filled per node on
-first use, not at freeze: the running sums of a node's out-edge weights
-(`out_weight_sums`) and the edges with few targets that can land on a node
-(`target_edges`). They only cache what the edges already say, so a
+Three walk tables are derived from the frozen graph and filled on first
+use, not at freeze: per node, the running sums of its out-edge weights
+(`out_weight_sums`) and the edges with few targets that can land on it
+(`target_edges`); per edge, the weights of its targets (`target_weights`).
+They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
 
@@ -154,6 +155,7 @@ class Hypergraph:
         self._contained_in: dict[int, tuple[int, ...]] = {}
         # derived walk tables, filled on first use
         self._weight_sums: dict[int, array] = {}
+        self._target_weights: dict[int, tuple[float, ...]] = {}
         self._target_edges: dict[int, tuple[int, tuple[int, ...], array]] = {}
         self._head_edges: dict[int, list[int]] | None = None
 
@@ -287,6 +289,21 @@ class Hypergraph:
             weights = (edges[e].weight for e in self.out_edges(node_id))
             sums = self._weight_sums[node_id] = array("d", accumulate(weights))
         return sums
+
+    def target_weights(self, edge_id: int) -> tuple[float, ...]:
+        """The weights of the nodes in edges[edge_id].targets, in that order.
+
+        Filled on first use, like `out_weight_sums`.
+        """
+        weights = self._target_weights.get(edge_id)
+        if weights is None:
+            if not self._frozen:
+                raise InvariantError("graph must be frozen before walking")
+            nodes = self.nodes
+            weights = self._target_weights[edge_id] = tuple(
+                nodes[t].weight for t in self.edges[edge_id].targets
+            )
+        return weights
 
     def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:
         """Ids of the edges with at most max_targets targets that a step can land on node_id by.

@@ -24,18 +24,29 @@ fatigued node (`Hypergraph.target_edges`), draws integers(eligible count)
 and steps over the excluded positions: O(log deg) per fatigued element,
 not O(deg). An unfatigued weighted step bisects the running sums of the
 out-edge weights (`Hypergraph.out_weight_sums`). A weighted step under
-fatigue lists the eligible out-edges and their weights, O(deg). A node
-found to have no eligible transition goes into `FatigueTable.dead_ends`
+fatigue lists the eligible out-edges and their weights, O(deg). With no
+node fatigued, a weighted step picks its target from the edge's target
+weights (`Hypergraph.target_weights`) sliced around the source, which it
+finds by bisection; under node fatigue it lists the eligible targets. A
+node found to have no eligible transition goes into `FatigueTable.dead_ends`
 until the clock next ticks, so walks that start from it again end at
 once, without a draw.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
-(big-endian) of sha256(query utf-8). Each step consumes exactly one draw to
-pick an edge and one draw to pick a target, even when only one candidate
-exists: unweighted graphs use integers(k) for both stages, the weighted
-variant uses random() against the cumulative weights. Identical inputs give
-identical rankings on every platform.
+(big-endian) of sha256(query utf-8). Each step makes one call to pick an
+edge and one call to pick a target, even when only one candidate exists:
+unweighted graphs call integers(k) for both stages, the weighted variant
+calls random() and picks against the cumulative weights. A call is not
+always one word of the bit generator: numpy's integers(1) returns 0 and
+reads nothing, and integers(k) redraws a 32-bit word whenever Lemire's
+method rejects it. `rws` reads the stream in blocks (`BlockDraws`) of
+min(draw budget left, 4096) items, one kind per stream: random() from
+Generator.random(n), integers(k) by numpy's Lemire method over words from
+Generator.integers(0, 2**32, size=n, dtype=uint32). Every call returns
+what the same call on the Generator would, so the values drawn are the
+contract; the Generator's state after a ranking is not. Identical inputs
+give identical rankings on every platform.
 """
 from __future__ import annotations
 
@@ -48,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .hypergraph import EdgeKind, Hyperedge, Hypergraph, NodeKind, Variant
 from .indexer import tokenize
 
@@ -138,6 +149,68 @@ def make_stream(rng_seed: int, query: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+BLOCK_ITEMS = 4096
+_WORDS = 1 << 32
+
+
+class BlockDraws:
+    """One kind of draw from a Generator, read in blocks.
+
+    `random()` and `integers(k)` return exactly what the same calls on the
+    Generator would. A reader serves only the kind it was made for; the
+    other raises InternalError. Each block holds min(budget left, 4096)
+    items, so the budget (the most calls the caller can make) bounds what
+    a short stream reads ahead and 4096 bounds the memory of a long one.
+    """
+
+    __slots__ = ("_float", "_word")
+
+    def __init__(self, gen: np.random.Generator, integers: bool, budget: int):
+        self._float = self._word = self._wrong_kind
+        if integers:
+            self._word = _blocks(
+                lambda n: gen.integers(0, _WORDS, size=n, dtype=np.uint32), budget
+            ).__next__
+        else:
+            self._float = _blocks(gen.random, budget).__next__
+
+    def random(self) -> float:
+        return self._float()
+
+    def integers(self, k: int) -> int:
+        """numpy's bounded Lemire method over 32-bit words, for 1 <= k <= 2**32."""
+        if k == 1:
+            return 0
+        if not 1 < k <= _WORDS:
+            raise InternalError(f"integers({k}) is outside 1..2**32")
+        m = self._word() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (_WORDS - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * k
+        return m >> 32
+
+    @staticmethod
+    def _wrong_kind() -> None:
+        raise InternalError("a walk stream draws only the kind its variant uses")
+
+
+def _blocks(read: Callable[[int], np.ndarray], budget: int):
+    """Yield the items of read(n) blocks, n = min(budget left, BLOCK_ITEMS), at least 1."""
+    while True:
+        n = min(max(budget, 1), BLOCK_ITEMS)
+        budget -= n
+        yield from read(n).tolist()
+
+
+def walk_draws(variant: Variant, query: str, params: RankingParams, seed_count: int) -> BlockDraws:
+    """The draws rws walks with: make_stream read in blocks, two calls budgeted per step."""
+    budget = 2 * params.repeats * seed_count * params.walk_length
+    return BlockDraws(
+        make_stream(params.rng_seed, query), variant is not Variant.WEIGHTED, budget
+    )
+
+
 def map_query_to_seeds(graph: Hypergraph, query: str) -> SeedSet:
     """Expand query terms into seed nodes.
 
@@ -160,7 +233,7 @@ def random_walk(
     length: int,
     fatigue: FatigueTable,
     params: RankingParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | BlockDraws,
     step_listener: StepListener | None = None,
 ) -> tuple[list[int], list[int], int]:
     """Walk up to `length` steps from `start`, honouring and feeding fatigue.
@@ -176,6 +249,7 @@ def random_walk(
     edges = graph.edges
     nodes = graph.nodes
     out_edges = graph.out_edges
+    target_weights = graph.target_weights
     visited_edges: list[int] = []
     visited_nodes: list[int] = []
     current = start
@@ -189,7 +263,7 @@ def random_walk(
             count = len(out) - len(excluded)
             if count:
                 # the k-th eligible out-edge: step k past each excluded position up to it
-                k = int(rng.integers(count))
+                k = rng.integers(count)
                 for position in excluded:
                     if position > k:
                         break
@@ -203,27 +277,38 @@ def random_walk(
             count = len(options)
             if count:
                 weights = [edges[e].weight for e in options]
-                edge_id = options[_cumulative_pick(weights, float(rng.random()))]
+                edge_id = options[_cumulative_pick(weights, rng.random())]
         else:
             count = len(out)
             if count:
-                edge_id = out[_pick(graph.out_weight_sums(current), float(rng.random()))]
+                edge_id = out[_pick(graph.out_weight_sums(current), rng.random())]
         if not count:
             fatigue.dead_ends.add(current)
             break
         edge = edges[edge_id]
-        if weighted or fatigued or edge.head:
+        if weighted and not fatigued:
+            # targets are sorted: drop the source's weight by slicing around it,
+            # which sums the same floats as a list of the other targets' weights
+            targets = edge.targets
+            weights = target_weights(edge_id)
+            i = bisect_left(targets, current)
+            if i < len(targets) and targets[i] == current:
+                k = _cumulative_pick(weights[:i] + weights[i + 1:], rng.random())
+                target = targets[k + 1 if k >= i else k]
+            else:
+                target = targets[_cumulative_pick(weights, rng.random())]
+        elif weighted or fatigued or edge.head:
             targets = [t for t in edge.targets if t != current and t not in fatigued]
             if weighted:
                 weights = [nodes[t].weight for t in targets]
-                target = targets[_cumulative_pick(weights, float(rng.random()))]
+                target = targets[_cumulative_pick(weights, rng.random())]
             else:
-                target = targets[int(rng.integers(len(targets)))]
+                target = targets[rng.integers(len(targets))]
         else:
             # undirected, nothing fatigued: members are sorted, so the k-th member
             # other than the source is members[k] below it and members[k + 1] above
             members = edge.members
-            k = int(rng.integers(len(members) - 1))
+            k = rng.integers(len(members) - 1)
             target = members[k] if members[k] < current else members[k + 1]
         visited_edges.append(edge_id)
         visited_nodes.append(target)
@@ -299,7 +384,7 @@ def rws(
     seed_set = map_query_to_seeds(graph, query)
     if not seed_set.seeds:
         return Ranking()
-    rng = make_stream(params.rng_seed, query)
+    rng = walk_draws(graph.variant, query, params, len(seed_set.seeds))
     fatigue = FatigueTable()
     edges = graph.edges
     doc = EdgeKind.DOCUMENT

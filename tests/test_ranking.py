@@ -15,6 +15,7 @@ from hgoe import (
     FatigueTable,
     Hypergraph,
     InputError,
+    InternalError,
     NodeKind,
     RankingParams,
     Variant,
@@ -24,7 +25,8 @@ from hgoe import (
     run_timed,
     rws,
 )
-from hgoe.ranking import make_stream
+from hgoe import ranking
+from hgoe.ranking import BlockDraws, make_stream, walk_draws
 
 import fixtures
 import graphgen
@@ -438,3 +440,126 @@ def test_hub_steps_match_the_list_filter_rule(variant, node_fatigue, edge_fatigu
     assert steps > 1000
     if node_fatigue or edge_fatigue:
         assert sum(count for source, count in exclusions if source == hub) > 0
+
+
+# -- draws read in blocks -------------------------------------------------------
+
+class CountingGenerator:
+    """A Generator that records the size of each block a reader asks it for.
+
+    A block over 4096 items fails before anything is allocated.
+    """
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.blocks: list[int] = []
+
+    def _count(self, size):
+        assert size <= 4096, f"a block of {size} items"
+        self.blocks.append(size)
+
+    def random(self, size):
+        self._count(size)
+        return self.gen.random(size)
+
+    def integers(self, low, high, size, dtype):
+        self._count(size)
+        return self.gen.integers(low, high, size=size, dtype=dtype)
+
+
+REJECTING_K = 2**31 + 1  # Lemire rejects about half of its words
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_block_draws_match_the_generator_call_for_call(monkeypatch, block):
+    monkeypatch.setattr(ranking, "BLOCK_ITEMS", block)
+    pick = np.random.default_rng(block)
+    ks = [1, 2, 3, 33, 5000, REJECTING_K, 2**32 - 1, 2**32] * 1000
+    ks += [int(k) for k in pick.integers(1, 2**32 + 1, size=10_000)]
+    ks += [REJECTING_K] * 2000
+    pick.shuffle(ks)
+    twin = make_stream(5, "blocks")
+    counted = CountingGenerator(make_stream(5, "blocks"))
+    draws = BlockDraws(counted, integers=True, budget=10**9)
+    for k in ks:
+        assert draws.integers(k) == twin.integers(k)
+    if block == 1:
+        # more words than calls that need one: rejections happened, and each
+        # redraw was a refill in the middle of a rejection
+        assert sum(counted.blocks) > len(ks) - ks.count(1) + 500
+
+    twin = make_stream(5, "floats")
+    counted = CountingGenerator(make_stream(5, "floats"))
+    draws = BlockDraws(counted, integers=False, budget=10**9)
+    calls = 3 * block + 5 if block > 1 else 50
+    assert [draws.random() for _ in range(calls)] == [twin.random() for _ in range(calls)]
+    assert len(counted.blocks) >= 4
+
+
+def test_block_draws_serve_one_kind():
+    with pytest.raises(InternalError):
+        BlockDraws(make_stream(0, "kind"), integers=True, budget=10).random()
+    with pytest.raises(InternalError):
+        BlockDraws(make_stream(0, "kind"), integers=False, budget=10).integers(3)
+    with pytest.raises(InternalError):
+        BlockDraws(make_stream(0, "kind"), integers=True, budget=10).integers(2**32 + 1)
+
+
+def test_walk_draws_read_at_most_the_budget_and_at_most_4096(monkeypatch):
+    made: list[CountingGenerator] = []
+
+    def counting_stream(rng_seed, query):
+        made.append(CountingGenerator(make_stream(rng_seed, query)))
+        return made[-1]
+
+    monkeypatch.setattr(ranking, "make_stream", counting_stream)
+    huge = walk_draws(Variant.WEIGHTED, "q", RankingParams(repeats=10**9), 3)
+    huge.random()
+    assert made[-1].blocks == [4096]
+    short = walk_draws(Variant.BASE, "q", RankingParams(repeats=2, walk_length=3), 5)
+    for _ in range(61):
+        short.integers(7)
+    # two calls per budgeted step: 2 * 2 * 5 * 3 = 60, then one word at a time
+    assert made[-1].blocks == [60, 1]
+
+
+def test_integers_of_one_reads_no_word():
+    # the step contract leans on this numpy behaviour: one call per stage, but
+    # integers(1) leaves the bit generator where it was
+    gen = make_stream(0, "one")
+    state = gen.bit_generator.state
+    assert [gen.integers(1) for _ in range(5)] == [0] * 5
+    assert gen.bit_generator.state == state
+    assert BlockDraws(gen, integers=True, budget=1).integers(1) == 0
+    assert gen.bit_generator.state == state
+
+
+# -- the weighted target stage --------------------------------------------------
+
+def test_weighted_target_stage_picks_what_the_filtered_list_picks():
+    """Sources first, in the middle of and last in a Document edge, and the tail of a ContainedIn edge."""
+    rng = np.random.default_rng(41)
+    g = Hypergraph(Variant.WEIGHTED)
+    terms = [g.upsert_node(NodeKind.TERM, f"t{i}") for i in range(7)]
+    entities = [g.upsert_node(NodeKind.ENTITY, f"E{i}") for i in range(3)]
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=terms, doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[terms[3]], head=entities)
+    for item in (*g.nodes, *g.edges):
+        item.weight = float(rng.uniform(0.05, 1.0))
+    g.freeze()
+    incidence = reference._incidence(g)
+    for source in (terms[0], terms[3], terms[6]):
+        engine, twin = make_stream(9, f"target {source}"), make_stream(9, f"target {source}")
+        options = reference._options(g, incidence, source)
+        seen = set()
+        for _ in range(1000):
+            got = random_walk(g, source, 1, FatigueTable(), RankingParams(), engine)
+            edge_weights = [g.edges[e].weight for e, _ in options]
+            edge_id, targets = options[reference._weighted_pick(edge_weights, twin.random())]
+            node_weights = [g.nodes[t].weight for t in targets]
+            target = targets[reference._weighted_pick(node_weights, twin.random())]
+            assert got == ([edge_id], [target], 1)
+            seen.add((edge_id, target))
+        others = {(doc, t) for t in terms if t != source}
+        expected = others | {(contained, e) for e in entities} if source == terms[3] else others
+        assert seen == expected
