@@ -109,13 +109,24 @@ def test_kind_constraints():
 
 
 def one_step_reach(graph, node, fatigue_nodes=(), fatigue_edges=(), streams=64):
-    """Every (edge, target) pair a one-step walk from node takes over `streams` seeds."""
+    """Every (edge, target) pair a one-step walk from node takes over `streams` seeds.
+
+    The given nodes and edges are fatigued through `advance`, one call each,
+    with a window longer than the number of calls, so all are still fatigued
+    when the walk starts.
+    """
+    window = len(fatigue_nodes) + len(fatigue_edges) + 1
+    params = RankingParams(node_fatigue=window, edge_fatigue=window)
     reached = set()
     for seed in range(streams):
         fatigue = FatigueTable()
-        fatigue.nodes = dict.fromkeys(fatigue_nodes, 5)
-        fatigue.edges = dict.fromkeys(fatigue_edges, 5)
-        edges, nodes, _ = random_walk(graph, node, 1, fatigue, RankingParams(),
+        for fatigued_node in fatigue_nodes:
+            fatigue.advance(0, fatigued_node, window, 0)
+        for fatigued_edge in fatigue_edges:
+            fatigue.advance(fatigued_edge, 0, 0, window)
+        assert fatigue.nodes.keys() == set(fatigue_nodes)
+        assert fatigue.edges.keys() == set(fatigue_edges)
+        edges, nodes, _ = random_walk(graph, node, 1, fatigue, params,
                                       make_stream(seed, "reach"))
         reached.update(zip(edges, nodes))
     return sorted(reached)
