@@ -53,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import time
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -104,38 +105,104 @@ class Ranking:
 
 
 class FatigueTable:
-    """Countdowns for recently traversed edges and recently visited nodes.
+    """The fatigue clock, the elements it blocks, and the small edges they kill.
+
+    `nodes` and `edges` map each fatigued element to the clock value at
+    which its window ends: fatigued at clock t with window delta, it stays
+    in the table until the tick to t + delta, so it blocks the next delta
+    decisions. `advance` pops expired entries from the front of two deques
+    of (expiry, id), O(1) amortised per tick. An element fatigued again
+    inside its window gets a later expiry, so its older deque entry finds
+    a different value and leaves it. Each deque stays in expiry order as
+    long as every call of one table passes the same windows, as the walks
+    of one ranking do.
+
+    The first `random_walk` binds the table to its graph and node_fatigue.
+    Then, for every edge of at most node_fatigue + 1 targets,
+    `fatigued_targets` counts its fatigued targets (no zero entries), and
+    `dead_edges` holds the edges whose targets are all fatigued. Only
+    these edges can lose every target to node fatigue, since at most
+    node_fatigue nodes are fatigued at once. A node entering or leaving
+    fatigue updates the counts of its edges (`Hypergraph.target_edges`).
 
     `dead_ends` holds the nodes a walk found no eligible transition from
-    since the clock last ticked; nothing else changes the countdowns, so
-    they stay dead until the next tick.
+    since the clock last ticked; nothing else changes the table, so they
+    stay dead until the next tick.
     """
 
-    __slots__ = ("nodes", "edges", "clock", "dead_ends")
+    __slots__ = (
+        "nodes", "edges", "clock", "dead_ends", "fatigued_targets", "dead_edges",
+        "graph", "node_fatigue", "_node_expiries", "_edge_expiries",
+    )
 
     def __init__(self):
         self.nodes: dict[int, int] = {}
         self.edges: dict[int, int] = {}
         self.clock = 0
         self.dead_ends: set[int] = set()
+        self.fatigued_targets: dict[int, int] = {}
+        self.dead_edges: set[int] = set()
+        self.graph: Hypergraph | None = None
+        self.node_fatigue = 0
+        self._node_expiries: deque[tuple[int, int]] = deque()
+        self._edge_expiries: deque[tuple[int, int]] = deque()
+
+    def bind(self, graph: Hypergraph, node_fatigue: int) -> None:
+        """Count fatigued targets on graph's edges from now on; a table serves one graph."""
+        if self.graph is None:
+            self.graph, self.node_fatigue = graph, node_fatigue
+            for node in self.nodes:
+                self._enter(node)
+        elif self.graph is not graph or self.node_fatigue != node_fatigue:
+            raise InternalError("a fatigue table serves one graph and one node_fatigue")
 
     def advance(self, edge_id: int, target_id: int, node_fatigue: int, edge_fatigue: int) -> None:
         """Tick the clock for one executed step, then fatigue its elements.
 
-        Existing entries are decremented first and new entries inserted
-        afterwards at full strength, so a fresh entry survives exactly
+        Entries whose window ends at the new clock leave first, and the new
+        entries expire at clock + delta, so a fresh entry survives exactly
         `delta` subsequent decisions.
         """
-        self.clock += 1
+        clock = self.clock = self.clock + 1
         self.dead_ends.clear()
-        if self.nodes:
-            self.nodes = {n: v - 1 for n, v in self.nodes.items() if v > 1}
-        if self.edges:
-            self.edges = {e: v - 1 for e, v in self.edges.items() if v > 1}
+        nodes, expiries = self.nodes, self._node_expiries
+        while expiries and expiries[0][0] <= clock:
+            expiry, node = expiries.popleft()
+            if nodes.get(node) == expiry:
+                del nodes[node]
+                if self.graph is not None:
+                    self._leave(node)
+        edges, expiries = self.edges, self._edge_expiries
+        while expiries and expiries[0][0] <= clock:
+            expiry, edge = expiries.popleft()
+            if edges.get(edge) == expiry:
+                del edges[edge]
         if node_fatigue > 0:
-            self.nodes[target_id] = node_fatigue
+            if target_id not in nodes and self.graph is not None:
+                self._enter(target_id)
+            nodes[target_id] = expiry = clock + node_fatigue
+            self._node_expiries.append((expiry, target_id))
         if edge_fatigue > 0:
-            self.edges[edge_id] = edge_fatigue
+            edges[edge_id] = expiry = clock + edge_fatigue
+            self._edge_expiries.append((expiry, edge_id))
+
+    def _enter(self, node: int) -> None:
+        """Count node, just fatigued, on its small edges; an edge whose count reaches its size dies."""
+        edges = self.graph.edges
+        counts = self.fatigued_targets
+        for edge_id in self.graph.target_edges(node, self.node_fatigue + 1):
+            count = counts[edge_id] = counts.get(edge_id, 0) + 1
+            if count == len(edges[edge_id].targets):
+                self.dead_edges.add(edge_id)
+
+    def _leave(self, node: int) -> None:
+        """Uncount node, no longer fatigued, on its small edges, dropping counts that reach 0."""
+        counts = self.fatigued_targets
+        for edge_id in self.graph.target_edges(node, self.node_fatigue + 1):
+            count = counts.pop(edge_id) - 1
+            if count:
+                counts[edge_id] = count
+            self.dead_edges.discard(edge_id)
 
 
 def query_stream_key(query: str) -> int:
@@ -245,6 +312,7 @@ def random_walk(
     # only the start can be a known dead end: each executed step clears the memo
     if start in fatigue.dead_ends:
         return [], [], 0
+    fatigue.bind(graph, params.node_fatigue)
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     nodes = graph.nodes
@@ -325,24 +393,23 @@ def _excluded_positions(
     """Ascending positions in `out`, the out-edges of source, that fatigue rules out.
 
     An out-edge is ruled out when it is fatigued, or when every target
-    other than source is fatigued. The second needs at most
-    len(fatigue.nodes) + 1 targets, so only the fewest-target edges that
-    land on each fatigued node are checked.
+    other than source is fatigued: all of its targets are (a dead edge),
+    or source is an unfatigued target and all the others are, which needs
+    at most node_fatigue + 1 targets.
     """
+    candidates = fatigue.edges.keys() | fatigue.dead_edges
     fatigued = fatigue.nodes
-    edges = graph.edges
-    target_edges = graph.target_edges
-    candidates = set(fatigue.edges)
-    bound = len(fatigued) + 1
-    for node in fatigued:
-        for edge_id in target_edges(node, bound):
-            if not _has_target(edges[edge_id], source, fatigued):
+    if fatigued and source not in fatigued:
+        edges = graph.edges
+        counts = fatigue.fatigued_targets
+        for edge_id in graph.target_edges(source, fatigue.node_fatigue + 1):
+            if counts.get(edge_id, 0) == len(edges[edge_id].targets) - 1:
                 candidates.add(edge_id)
-    positions = []
-    for edge_id in candidates:
-        i = bisect_left(out, edge_id)
-        if i < len(out) and out[i] == edge_id:
-            positions.append(i)
+    end = len(out)
+    positions = [
+        i for edge_id in candidates
+        if (i := bisect_left(out, edge_id)) < end and out[i] == edge_id
+    ]
     positions.sort()
     return positions
 
