@@ -17,12 +17,17 @@ so a walk that finds no eligible transition ends early without a tick.
 
 Cost of a step: an unweighted step does not list its eligible out-edges.
 An out-edge is ruled out only when it is fatigued or every target other
-than the source is fatigued, and the latter needs at most (fatigued nodes
-+ 1) targets. So a step bisects the current node's sorted out-edges for
-each fatigued edge and for the fewest-target edges that land on each
-fatigued node (`Hypergraph.target_edges`), draws integers(eligible count)
-and steps over the excluded positions: O(log deg) per fatigued element,
-not O(deg). An unfatigued weighted step bisects the running sums of the
+than the source is fatigued, and the latter needs at most node_fatigue + 1
+targets. The fatigue table keeps those small edges' fatigued-target counts
+as nodes enter and leave fatigue, so it always knows the edges whose
+targets are all fatigued (`FatigueTable.dead_edges`). A step bisects the
+current node's sorted out-edges for each fatigued edge and each dead edge,
+and, when the source itself is unfatigued, for its small edges whose other
+targets are all fatigued; it draws integers(eligible count) and steps over
+the excluded positions: O(log deg) per excluded candidate, not O(deg).
+Each tick of the clock costs O(1) amortised to expire old entries, plus
+one pass over the small edges (`Hypergraph.target_edges`) of the node that
+enters fatigue and of the one that leaves it. An unfatigued weighted step bisects the running sums of the
 out-edge weights (`Hypergraph.out_weight_sums`). A weighted step under
 fatigue lists the eligible out-edges and their weights, O(deg). With no
 node fatigued, a weighted step picks its target from the edge's target
