@@ -27,15 +27,16 @@ targets are all fatigued; it draws integers(eligible count) and steps over
 the excluded positions: O(log deg) per excluded candidate, not O(deg).
 Each tick of the clock costs O(1) amortised to expire old entries, plus
 one pass over the small edges (`Hypergraph.target_edges`) of the node that
-enters fatigue and of the one that leaves it. An unfatigued weighted step bisects the running sums of the
-out-edge weights (`Hypergraph.out_weight_sums`). A weighted step under
-fatigue lists the eligible out-edges and their weights, O(deg). With no
-node fatigued, a weighted step picks its target from the edge's target
-weights (`Hypergraph.target_weights`) sliced around the source, which it
-finds by bisection; under node fatigue it lists the eligible targets. A
-node found to have no eligible transition goes into `FatigueTable.dead_ends`
-until the clock next ticks, so walks that start from it again end at
-once, without a draw.
+enters fatigue and of the one that leaves it. An unfatigued weighted step
+bisects the running sums of the out-edge weights
+(`Hypergraph.out_weight_sums`). A weighted step under fatigue lists the
+eligible out-edges and their weights, O(deg). With no node fatigued, a
+weighted step picks its target from the edge's target weights
+(`Hypergraph.target_weights`) sliced around the source, which it finds by
+bisection; under node fatigue it lists the eligible targets. A node found
+to have no eligible transition goes into `FatigueTable.dead_ends` until
+the clock next ticks, so walks that start from it again end at once,
+without a draw.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -153,7 +154,10 @@ class FatigueTable:
         self._edge_expiries: deque[tuple[int, int]] = deque()
 
     def bind(self, graph: Hypergraph, node_fatigue: int) -> None:
-        """Count fatigued targets on graph's edges from now on; a table serves one graph."""
+        """Count fatigued targets on graph's small edges from now on, the nodes fatigued so far first.
+
+        A table serves one graph and one node_fatigue; another raises InternalError.
+        """
         if self.graph is None:
             self.graph, self.node_fatigue = graph, node_fatigue
             for node in self.nodes:
@@ -410,11 +414,11 @@ def _excluded_positions(
         for edge_id in graph.target_edges(source, fatigue.node_fatigue + 1):
             if counts.get(edge_id, 0) == len(edges[edge_id].targets) - 1:
                 candidates.add(edge_id)
-    end = len(out)
-    positions = [
-        i for edge_id in candidates
-        if (i := bisect_left(out, edge_id)) < end and out[i] == edge_id
-    ]
+    positions = []
+    for edge_id in candidates:
+        i = bisect_left(out, edge_id)
+        if i < len(out) and out[i] == edge_id:
+            positions.append(i)
     positions.sort()
     return positions
 
