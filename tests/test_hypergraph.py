@@ -61,6 +61,80 @@ def test_empty_label_rejected():
         g.upsert_node(NodeKind.TERM, "")
 
 
+def upsert_each(graph, kind, labels):
+    """One upsert_node per label: the ids, nodes and errors a batch upsert must give."""
+    return [graph.upsert_node(kind, label) for label in labels]
+
+
+# Each way of upserting a batch of labels of one kind.
+BATCH_UPSERTS = [upsert_each]
+
+
+def node_records(graph):
+    return [(node.node_id, node.kind, node.label) for node in graph.nodes]
+
+
+@pytest.mark.parametrize("upsert", BATCH_UPSERTS)
+def test_batch_upsert_gives_first_seen_ids(upsert):
+    g = Hypergraph()
+    assert upsert(g, NodeKind.TERM, ["a", "b", "a", "c", "b"]) == [0, 1, 0, 2, 1]
+    assert upsert(g, NodeKind.ENTITY, ["a", "x", "x"]) == [3, 4, 4]
+    assert upsert(g, NodeKind.TERM, ("c", "d", "a", "d")) == [2, 5, 0, 5]
+    assert upsert(g, NodeKind.ENTITY, ["x", "a"]) == [4, 3]
+    assert upsert(g, NodeKind.TERM, []) == []
+    assert upsert(g, 1, ["y", "a"]) == [6, 3]
+    assert upsert(g, 0, ["y"]) == [7]
+    term, entity = NodeKind.TERM, NodeKind.ENTITY
+    assert node_records(g) == [(0, term, "a"), (1, term, "b"), (2, term, "c"), (3, entity, "a"),
+                               (4, entity, "x"), (5, term, "d"), (6, entity, "y"), (7, term, "y")]
+    assert all(type(node.kind) is NodeKind for node in g.nodes)
+
+
+@pytest.mark.parametrize("upsert", BATCH_UPSERTS)
+@pytest.mark.parametrize("labels", [["a"], ["new"], ["b", "new", "a"], [""]])
+def test_frozen_graph_rejects_known_and_new_labels(upsert, labels):
+    g, *_ = small_graph()
+    g.freeze()
+    with pytest.raises(InvariantError, match="graph is frozen"):
+        upsert(g, NodeKind.TERM, labels)
+    assert upsert(g, NodeKind.TERM, []) == []
+    assert len(g.nodes) == 4
+
+
+@pytest.mark.parametrize("upsert", BATCH_UPSERTS)
+@pytest.mark.parametrize("bad", ["", 5, None, b"c", ["c"], {"c": 1}])
+def test_bad_label_mid_batch_keeps_the_nodes_before_it(upsert, bad):
+    g = Hypergraph()
+    upsert(g, NodeKind.TERM, ["a"])
+    with pytest.raises(InputError, match="^node label must be a non-empty string$"):
+        upsert(g, NodeKind.TERM, ["b", "a", bad, "c"])
+    assert node_records(g) == [(0, NodeKind.TERM, "a"), (1, NodeKind.TERM, "b")]
+
+
+@pytest.mark.parametrize("upsert", BATCH_UPSERTS)
+@pytest.mark.parametrize("kind", [7, "term", None, []])
+def test_batch_upsert_checks_the_label_before_the_kind(upsert, kind):
+    g = Hypergraph()
+    upsert(g, NodeKind.TERM, ["a"])
+    with pytest.raises(InputError):
+        upsert(g, kind, ["", "a"])
+    with pytest.raises(ValueError, match="is not a valid NodeKind"):
+        upsert(g, kind, ["a", ""])
+    assert upsert(g, kind, []) == []
+    assert node_records(g) == [(0, NodeKind.TERM, "a")]
+
+
+def test_node_id_takes_a_node_kind_or_its_value():
+    g = Hypergraph()
+    t = g.upsert_node(NodeKind.TERM, "x")
+    e = g.upsert_node(NodeKind.ENTITY, "y")
+    assert g.node_id(0, "x") == g.node_id(NodeKind.TERM, "x") == t
+    assert g.node_id(1, "y") == e
+    assert g.node_id(NodeKind.ENTITY, "x") is None
+    assert g.node_id(7, "x") is None
+    assert g.node_id("term", "x") is None
+
+
 def test_duplicate_edges_merge():
     g, a, b, c, e = small_graph()
     e1 = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
@@ -106,6 +180,30 @@ def test_kind_constraints():
         g.add_edge(EdgeKind.SYNONYM, members=[a])  # too small
     with pytest.raises(InputError):
         g.add_edge(EdgeKind.SYNONYM, members=[a, 99])  # unknown node
+
+
+@pytest.mark.parametrize("where", ["members", "tail", "head"])
+@pytest.mark.parametrize("bad, named", [
+    ([-1], -1), ([4], 4), ([9, 5], 5), ([-3, -2], -3), ([-2, 7], -2), ([4, -5, 6], -5),
+])
+def test_add_edge_names_the_first_unknown_node(where, bad, named):
+    g, a, b, c, e = small_graph()
+    edge = {
+        "members": dict(kind=EdgeKind.DOCUMENT, members=[a, *bad, b], doc_id="d1"),
+        "tail": dict(kind=EdgeKind.CONTAINED_IN, tail=[*bad, a], head=[e]),
+        "head": dict(kind=EdgeKind.CONTAINED_IN, tail=[a], head=[e, *bad]),
+    }[where]
+    with pytest.raises(InputError, match=f"^unknown node id {named}$"):
+        g.add_edge(**edge)
+    assert g.edges == [] and g.doc_count == 0
+
+
+def test_add_edge_names_an_unknown_tail_node_before_a_head_node():
+    g, a, b, c, e = small_graph()
+    with pytest.raises(InputError, match="^unknown node id 9$"):
+        g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, 9], head=[-1, e])
+    with pytest.raises(InputError, match="^unknown node id -4$"):
+        g.add_edge(EdgeKind.CONTAINED_IN, tail=[-4, 8], head=[-1, e])
 
 
 def one_step_reach(graph, node, fatigue_nodes=(), fatigue_edges=(), streams=64):
