@@ -2,8 +2,9 @@
 
 Nodes are terms or entities. Hyperedges connect node sets and are either
 undirected (one member set) or directed (a tail set and a head set). The
-graph keeps a dense integer id space for nodes and edges and the edge
-records; a node's document frequency is counted from the Document edges.
+graph keeps a dense integer id space for nodes and edges, the edge records,
+and one label table per node kind that maps a label to its node id; a
+node's document frequency is counted from the Document edges.
 
 Freezing checks each edge record against the topology `add_edge` accepted
 and, in the same O(sum of edge sizes) pass, builds the walk table: for each
@@ -60,11 +61,11 @@ from __future__ import annotations
 import gc
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import accumulate, chain
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,9 +129,11 @@ class Hyperedge:
         return self.head or self.members
 
 
+_ANY_NODE_KIND = frozenset(NodeKind)
+_NO_LABELS: dict[str, int] = {}  # node_id's table for a kind that is no NodeKind
 # Which node kinds each edge kind may touch, as (member kinds, tail kinds, head kinds).
 _KIND_RULES: dict[EdgeKind, tuple] = {
-    EdgeKind.DOCUMENT: ({NodeKind.TERM, NodeKind.ENTITY}, None, None),
+    EdgeKind.DOCUMENT: (_ANY_NODE_KIND, None, None),
     EdgeKind.CONTAINED_IN: (None, {NodeKind.TERM}, {NodeKind.ENTITY}),
     EdgeKind.RELATED_TO: ({NodeKind.ENTITY}, None, None),
     EdgeKind.SYNONYM: ({NodeKind.TERM}, None, None),
@@ -147,7 +150,7 @@ class Hypergraph:
         self.variant = Variant(variant)
         self.nodes: list[Node] = []
         self.edges: list[Hyperedge] = []
-        self._node_index: dict[tuple[NodeKind, str], int] = {}
+        self._node_index: dict[NodeKind, dict[str, int]] = {kind: {} for kind in NodeKind}
         self._edge_index: dict[tuple, int] = {}
         self._doc_edges: dict[str, int] = {}
         self._frozen = False
@@ -171,7 +174,7 @@ class Hypergraph:
         return len(self._doc_edges)
 
     def node_id(self, kind: NodeKind, label: str) -> int | None:
-        return self._node_index.get((kind, label))
+        return self._node_index.get(kind, _NO_LABELS).get(label)
 
     def doc_edge_id(self, doc_id: str) -> int | None:
         return self._doc_edges.get(doc_id)
@@ -181,19 +184,42 @@ class Hypergraph:
 
     def upsert_node(self, kind: NodeKind, label: str) -> int:
         """Return the id for (kind, label), creating the node if needed."""
-        if self._frozen:
+        return self.upsert_nodes(kind, (label,))[0]
+
+    def upsert_nodes(self, kind: NodeKind, labels: Sequence[str]) -> list[int]:
+        """Return the ids for labels of one kind, creating the missing nodes in order.
+
+        Known labels resolve in one pass over the kind's label table; only
+        the labels it lacks are checked and created. The ids, the nodes
+        created and the errors raised are those of `upsert_node` on each
+        label in turn: a batch that fails at a label keeps the nodes created
+        before it, and a frozen graph rejects any non-empty batch.
+        """
+        if self._frozen and len(labels):
             raise InvariantError("graph is frozen")
-        if not isinstance(label, str) or not label:
-            raise InputError("node label must be a non-empty string")
-        kind = NodeKind(kind)
-        key = (kind, label)
-        existing = self._node_index.get(key)
-        if existing is not None:
-            return existing
-        node_id = len(self.nodes)
-        self.nodes.append(Node(node_id, kind, label))
-        self._node_index[key] = node_id
-        return node_id
+        try:
+            ids = list(map(self._node_index[kind].get, labels))
+        except (KeyError, TypeError):  # kind is no NodeKind, or a label is unhashable
+            ids = [None] * len(labels)
+        if None not in ids:
+            return ids
+        nodes = self.nodes
+        index = None
+        for i in range(ids.index(None), len(ids)):
+            if ids[i] is not None:
+                continue
+            label = labels[i]
+            if not isinstance(label, str) or not label:
+                raise InputError("node label must be a non-empty string")
+            if index is None:
+                kind = NodeKind(kind)
+                index = self._node_index[kind]
+            node_id = index.get(label)
+            if node_id is None:
+                node_id = index[label] = len(nodes)
+                nodes.append(Node(node_id, kind, label))
+            ids[i] = node_id
+        return ids
 
     def add_edge(
         self,
@@ -212,7 +238,8 @@ class Hypergraph:
         """
         if self._frozen:
             raise InvariantError("graph is frozen")
-        kind = EdgeKind(kind)
+        if not isinstance(kind, EdgeKind):
+            kind = EdgeKind(kind)
         members = tuple(sorted(set(members)))
         tail = tuple(sorted(set(tail)))
         head = tuple(sorted(set(head)))
@@ -223,16 +250,21 @@ class Hypergraph:
             raise InputError("directed edge needs a non-empty tail and a non-empty head")
         if not directed and len(members) < 1:
             raise InputError("undirected edge needs at least one member")
-        for node in (*members, *tail, *head):
-            if not 0 <= node < len(self.nodes):
-                raise InputError(f"unknown node id {node}")
+        # Each tuple is sorted, so its first unknown id is its first if that is
+        # negative, else its first id past the last node.
+        count = len(self.nodes)
+        for ids in (members, tail, head):
+            if ids and (ids[0] < 0 or ids[-1] >= count):
+                raise InputError(
+                    f"unknown node id {ids[0] if ids[0] < 0 else ids[bisect_left(ids, count)]}")
         if (doc_id is not None) != (kind is EdgeKind.DOCUMENT):
             raise InvariantError("doc_id is present exactly on Document edges")
         member_kinds, tail_kinds, head_kinds = _KIND_RULES[kind]
         if member_kinds is not None:
             if directed:
                 raise InvariantError(f"{kind.name} edges are undirected")
-            bad = [m for m in members if self.nodes[m].kind not in member_kinds]
+            bad = [] if member_kinds is _ANY_NODE_KIND else [
+                m for m in members if self.nodes[m].kind not in member_kinds]
         else:
             if not directed:
                 raise InvariantError(f"{kind.name} edges are directed")
@@ -365,7 +397,11 @@ class Hypergraph:
         if self.variant is Variant.WEIGHTED:
             if any(n.weight is None for n in self.nodes) or any(e.weight is None for e in self.edges):
                 raise InvariantError("weighted graph has unweighted elements")
-        self._out_edges = [tuple(ids) for ids in out_edges]
+        # Each list gives way to its tuple at once, so the lists and the
+        # tuples of every node are never all alive together.
+        for node_id, ids in enumerate(out_edges):
+            out_edges[node_id] = tuple(ids)
+        self._out_edges = out_edges
         self._contained_in = {n: tuple(heads) for n, heads in contained_in.items()}
         self._frozen = True
         return self
@@ -564,10 +600,11 @@ def _read_index(data: bytes) -> Hypergraph:
         for node_id, (kind, flag, label) in enumerate(
             zip(node_kinds.items.tolist(), node_flags.items.tolist(), labels))
     ]
-    keys = [(node.kind, node.label) for node in graph.nodes]
-    graph._node_index = {key: node.node_id for key, node in zip(keys, graph.nodes)}
-    if len(graph._node_index) < node_count:
-        _repeated(label_ends, keys, "node")
+    tables = [graph._node_index[kind] for kind in NodeKind]
+    for node in graph.nodes:
+        tables[node.kind][node.label] = node.node_id
+    if sum(map(len, tables)) < node_count:
+        _repeated(label_ends, [(node.kind, node.label) for node in graph.nodes], "node")
 
     # Edges hold the nodes' own id objects, as in a graph built by add_edge,
     # not one int object per member.

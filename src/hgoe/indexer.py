@@ -150,14 +150,14 @@ def index_corpus(
         entities = list(dict.fromkeys(doc.links))
         if not terms and not entities:
             raise InputError(f"document {doc.doc_id!r} yields no nodes")
-        term_ids = [graph.upsert_node(NodeKind.TERM, t) for t in terms]
-        entity_ids = [graph.upsert_node(NodeKind.ENTITY, e) for e in entities]
+        term_ids = graph.upsert_nodes(NodeKind.TERM, terms)
+        entity_ids = graph.upsert_nodes(NodeKind.ENTITY, entities)
         graph.add_edge(EdgeKind.DOCUMENT, members=term_ids + entity_ids, doc_id=doc.doc_id)
         for entity, entity_id in zip(entities, entity_ids):
             name_terms = list(dict.fromkeys(tokenize(entity)))
             if not name_terms:
                 raise InputError(f"entity name {entity!r} has no tokens")
-            name_ids = [graph.upsert_node(NodeKind.TERM, t) for t in name_terms]
+            name_ids = graph.upsert_nodes(NodeKind.TERM, name_terms)
             graph.add_edge(EdgeKind.CONTAINED_IN, tail=name_ids, head=[entity_id])
         if len(entity_ids) >= 2:
             graph.add_edge(EdgeKind.RELATED_TO, members=entity_ids)
@@ -182,7 +182,7 @@ def extend_synonyms(graph: Hypergraph, lexicon: Iterable[Sequence[str]]) -> int:
             raise InputError("a synset needs at least two distinct labels")
         if not any(graph.node_id(NodeKind.TERM, label) is not None for label in labels):
             continue
-        node_ids = [graph.upsert_node(NodeKind.TERM, label) for label in labels]
+        node_ids = graph.upsert_nodes(NodeKind.TERM, labels)
         before = len(graph.edges)
         graph.add_edge(EdgeKind.SYNONYM, members=node_ids)
         added += len(graph.edges) - before
