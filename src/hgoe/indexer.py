@@ -225,6 +225,11 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     matrix = matrix / norms[:, None]
     term_ids = [graph.node_id(NodeKind.TERM, label) for label in vocab]
     n = len(vocab)
+    # The block shape is part of the index bytes: BLAS rounds the product
+    # differently with the block's row count, so another chunk moves the
+    # last bits of stored similarities (never the neighbours picked). The
+    # 1,024-row block (70 MB at 8,626 terms) sets the weighted build's peak
+    # memory; shrinking it is a deliberate change of index bytes.
     chunk = 1024
     block = np.empty((min(chunk, n), n))
     added = 0
