@@ -511,3 +511,38 @@ def test_load_embeddings_rejects_non_finite_components(tmp_path, component):
     with pytest.raises(FormatError) as err:
         load_embeddings(str(path))
     assert str(err.value) == f"{path}:3: non-finite vector component"
+
+
+# Each file holds several bad lines of different kinds; the error names the
+# earliest one, and on that line the first failing check in the order field
+# count, duplicate, non-numeric, non-finite, zero. Line 3 is blank.
+@pytest.mark.parametrize("lines, error", [
+    (["cat 1 0", "", "dog 1", "Cat 1 0", "eel x 1", "fox inf 1", "gnu 0 0"],
+     "4: expected 2 vector components"),
+    (["cat 1 0", "", "CAT 0 0", "dog x", "eel 1 nan", "fox 0 0"],
+     "4: duplicate embedding for 'cat'"),
+    (["cat 1 0", "", "dog nan x", "eel 0 0", "fox 1", "cat 1 1"],
+     "4: non-numeric vector component"),
+    (["cat 1 0", "", "dog 0 -inf", "eel 0 0", "fox a 1", "gnu 1"],
+     "4: non-finite vector component"),
+    (["cat 1 0", "", "dog 0 -0.0", "eel 1 inf", "fox a 1", "cat 1 1"],
+     "4: zero vector for 'dog'"),
+])
+def test_load_embeddings_reports_the_earliest_bad_line(tmp_path, lines, error):
+    path = tmp_path / "vec.txt"
+    path.write_text("\n".join(["9 2", *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:{error}"
+
+
+def test_load_embeddings_checks_the_header_count_after_every_line(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("3 2\ncat 1 0\ndog 0 0\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:3: zero vector for 'dog'"
+    path.write_text("3 2\ncat 1 0\ndog 0 1\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}: header says 3 vectors, found 2"
