@@ -9,6 +9,7 @@ edge over that entity set.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -25,6 +26,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 CONTEXT_SIM_THRESHOLD = 0.5
 CONTEXT_MAX_NEIGHBOURS = 2
+# Bytes of the float64 similarity block extend_context fills at a time: its
+# memory stays constant as the vocabulary grows.
+SIMILARITY_BLOCK_BYTES = 8 << 20
 
 
 def tokenize(text: str) -> list[str]:
@@ -92,8 +96,13 @@ def load_synonyms(path: str) -> list[tuple[str, ...]]:
 
 
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
-    """Read word2vec text format: header "count dim", then "word v1 .. vd"."""
-    table: dict[str, np.ndarray] = {}
+    """Read word2vec text format: header "count dim", then "word v1 .. vd".
+
+    The vectors are rows of one float64 matrix. An error names the earliest
+    bad line and, on it, the first check that fails: component count,
+    duplicate word, non-numeric, non-finite, zero vector. The header count
+    is checked last.
+    """
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -102,27 +111,42 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise FormatError(f"{path}:1: header must be 'count dim'") from exc
+        # Lines are read up to the first one that fails a per-line check; the
+        # whole-matrix checks below can only name an earlier line.
+        words: dict[str, int] = {}
+        values: list[float] = []
+        error = None
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.split()
-            if len(parts) != dim + 1:
-                raise FormatError(f"{path}:{lineno}: expected {dim} vector components")
             word = parts[0].lower()
-            if word in table:
-                raise FormatError(f"{path}:{lineno}: duplicate embedding for {word!r}")
-            try:
-                vector = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric vector component") from exc
-            if not np.all(np.isfinite(vector)):
-                raise FormatError(f"{path}:{lineno}: non-finite vector component")
-            if not vector.any():
-                raise FormatError(f"{path}:{lineno}: zero vector for {word!r}")
-            table[word] = vector
-    if len(table) != count:
-        raise FormatError(f"{path}: header says {count} vectors, found {len(table)}")
-    return table
+            if len(parts) != dim + 1:
+                error = (lineno, f"expected {dim} vector components")
+            elif word in words:
+                error = (lineno, f"duplicate embedding for {word!r}")
+            else:
+                try:
+                    values.extend(map(float, parts[1:]))
+                except ValueError:
+                    error = (lineno, "non-numeric vector component")
+                    del values[len(words) * dim :]
+            if error is not None:
+                break
+            words[word] = lineno
+    # A negative dim leaves no lines, as no line has fewer than 0 components.
+    matrix = np.array(values, dtype=np.float64).reshape(len(words), max(dim, 0))
+    non_finite = ~np.isfinite(matrix).all(axis=1)
+    bad = np.flatnonzero(non_finite | ~matrix.any(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        word, lineno = next(itertools.islice(words.items(), row, None))
+        error = (lineno, "non-finite vector component" if non_finite[row] else f"zero vector for {word!r}")
+    if error is not None:
+        raise FormatError(f"{path}:{error[0]}: {error[1]}")
+    if len(words) != count:
+        raise FormatError(f"{path}: header says {count} vectors, found {len(words)}")
+    return dict(zip(words, matrix))
 
 
 def index_corpus(
@@ -195,11 +219,18 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     Neighbour search is exact brute force over the embedded part of the
     graph vocabulary. A term picks up to CONTEXT_MAX_NEIGHBOURS other terms
     with cosine similarity strictly above CONTEXT_SIM_THRESHOLD; ties break
-    on the label. The similarities are computed 1,024 terms at a time into
-    one reused block, and each term's neighbours are selected from its row
-    by repeated argmax, so the candidates are never sorted. The similarity
-    of every recorded (term, neighbour) pair is stored on the edge for later
+    on the label. The similarities are computed a block of rows at a time
+    into one reused block of at most SIMILARITY_BLOCK_BYTES (one block up to
+    1,024 terms), and each term's neighbours are selected from its row by
+    repeated argmax, so the candidates are never sorted. The similarity of
+    every recorded (term, neighbour) pair is stored on the edge for later
     weighting. Returns the number of Context edges added.
+
+    The stored similarities come from a BLAS matrix product, whose last bits
+    depend on the whole call: the BLAS build, the CPU, the thread count and
+    the block's shape. The neighbours picked move only on a near-tie, but an
+    index is reproducible byte for byte only under the same numpy and BLAS
+    build, CPU and thread count.
     """
     vocab = sorted(
         node.label
@@ -226,12 +257,10 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     term_ids = [graph.node_id(NodeKind.TERM, label) for label in vocab]
     n = len(vocab)
     # The block shape is part of the index bytes: BLAS rounds the product
-    # differently with the block's row count, so another chunk moves the
-    # last bits of stored similarities (never the neighbours picked). The
-    # 1,024-row block (70 MB at 8,626 terms) sets the weighted build's peak
-    # memory; shrinking it is a deliberate change of index bytes.
-    chunk = 1024
-    block = np.empty((min(chunk, n), n))
+    # differently with the block's row count (and with its thread count), so
+    # another budget moves the last bits of some stored similarities.
+    chunk = max(1, min(n, SIMILARITY_BLOCK_BYTES // (8 * n)))
+    block = np.empty((chunk, n))
     added = 0
     for start in range(0, n, chunk):
         sims = np.matmul(matrix[start : start + chunk], matrix.T, out=block[: n - start])

@@ -25,7 +25,13 @@ from hgoe import (
     load_synonyms,
     tokenize,
 )
-from hgoe.indexer import compute_weights, extend_context, extend_synonyms
+from hgoe.indexer import (
+    CONTEXT_SIM_THRESHOLD,
+    SIMILARITY_BLOCK_BYTES,
+    compute_weights,
+    extend_context,
+    extend_synonyms,
+)
 
 import graphgen
 
@@ -266,43 +272,96 @@ _DYADIC_TEMPLATES = (
 )
 
 
+def _context_by_rule(graph, labels, cosine):
+    """The documented rule, spelled out: per term in label order, the other
+    terms with cosine above the threshold by (-cosine, label), first two.
+
+    Returns the (term, neighbour) index pairs of each Context edge, keyed by
+    its sorted member ids, in the order extend_context adds them.
+    """
+    expected: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, label in enumerate(labels):
+        above = np.flatnonzero(cosine[i] > CONTEXT_SIM_THRESHOLD)
+        chosen = sorted((-cosine[i, j], labels[j], j) for j in above if j != i)[:2]
+        if not chosen:
+            continue
+        ids = [graph.node_id(NodeKind.TERM, name) for name in (label, *(n for _, n, _ in chosen))]
+        expected.setdefault(tuple(sorted(ids)), []).extend((i, j) for _, _, j in chosen)
+    return expected
+
+
+def _term_graph(labels, rng):
+    graph = Hypergraph()
+    for i in rng.permutation(len(labels)):  # node ids need not follow label order
+        graph.upsert_node(NodeKind.TERM, labels[i])
+    return graph
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_extend_context_matches_the_documented_rule_on_ties(seed):
-    # 2,500 terms span three 1,024-row blocks of the similarity matrix.
+    # 2,500 terms span six 419-row blocks of the similarity matrix.
     rng = np.random.default_rng(seed)
     labels = [f"w{i:04d}" for i in range(2500)]
     quarters = np.array([
         rng.permutation(_DYADIC_TEMPLATES[rng.integers(3)]) * rng.choice([-1, 1], size=6)
         for _ in labels
     ])
-    graph = Hypergraph()
-    for i in rng.permutation(len(labels)):  # node ids need not follow label order
-        graph.upsert_node(NodeKind.TERM, labels[i])
+    graph = _term_graph(labels, rng)
     added = extend_context(graph, {label: q / 4.0 for label, q in zip(labels, quarters)})
 
-    # The rule, spelled out: per term in label order, the other terms with
-    # cosine above 0.5 (8/16) by (-cosine, label), first two.
-    sixteenths = quarters @ quarters.T
-    expected: dict[tuple[int, ...], list[float]] = {}
-    for i, label in enumerate(labels):
-        chosen = sorted(
-            (-int(sixteenths[i, j]), labels[j])
-            for j in np.nonzero(sixteenths[i] > 8)[0]
-            if j != i
-        )[:2]
-        if not chosen:
-            continue
-        ids = [graph.node_id(NodeKind.TERM, name) for name in (label, *(n for _, n in chosen))]
-        expected.setdefault(tuple(sorted(ids)), []).extend(
-            min(-s / 16, 1.0) for s, _ in chosen
-        )
+    cosine = (quarters @ quarters.T) / 16.0  # exact: integers over a power of two
+    expected = _context_by_rule(graph, labels, cosine)
     context = [(e.members, e.context_sims) for e in graph.edges if e.kind is EdgeKind.CONTEXT]
-    assert context == list(expected.items())
+    assert context == [
+        (members, [min(cosine[i, j], 1.0) for i, j in pairs]) for members, pairs in expected.items()
+    ]
     assert added == len(expected)
 
 
+def test_extend_context_matches_a_brute_force_rule_on_gaussian_vectors():
+    # 1,500 terms span three 699-row blocks of the similarity matrix.
+    rng = np.random.default_rng(0)
+    labels = [f"w{i:04d}" for i in range(1500)]
+    vectors = rng.standard_normal((len(labels), 32))
+    graph = _term_graph(labels, rng)
+    added = extend_context(graph, dict(zip(labels, vectors)))
+
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    cosine = sum(np.outer(unit[:, k], unit[:, k]) for k in range(unit.shape[1]))  # no BLAS
+    # No cosine is near the threshold or near a tie among a row's three
+    # nearest, so rounding cannot decide the rule.
+    nearest = -np.sort(-np.where(np.eye(len(labels), dtype=bool), -np.inf, cosine), axis=1)[:, :3]
+    assert np.abs(cosine - CONTEXT_SIM_THRESHOLD).min() > 1e-12
+    assert np.diff(nearest, axis=1).max() < -1e-12
+    expected = _context_by_rule(graph, labels, cosine)
+    context = [e for e in graph.edges if e.kind is EdgeKind.CONTEXT]
+    assert [e.members for e in context] == list(expected)
+    assert added == len(expected)
+    for edge, pairs in zip(context, expected.values()):
+        assert len(edge.context_sims) == len(pairs)
+        for sim, (i, j) in zip(edge.context_sims, pairs):
+            assert abs(sim - math.fsum(unit[i] * unit[j])) <= 1e-14
+
+
+@pytest.mark.parametrize("n, block_rows", [(1024, [1024]), (1025, [1023, 2])])
+def test_extend_context_splits_the_vocabulary_into_budgeted_blocks(monkeypatch, n, block_rows):
+    rows = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, **kwargs):
+        rows.append(len(a))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    rng = np.random.default_rng(0)
+    labels = [f"w{i:04d}" for i in range(n)]
+    extend_context(_term_graph(labels, rng), dict(zip(labels, rng.standard_normal((n, 8)))))
+    assert rows == block_rows
+    assert max(rows) * n * 8 <= SIMILARITY_BLOCK_BYTES
+
+
 def test_extend_context_keeps_one_similarity_block_alive():
-    # 3,000 terms span three 1,024-row blocks of the similarity matrix.
+    # 3,000 terms span nine 349-row blocks of the similarity matrix.
     rng = np.random.default_rng(0)
     graph = Hypergraph()
     embeddings = {}
@@ -310,14 +369,13 @@ def test_extend_context_keeps_one_similarity_block_alive():
         label = f"w{i:04d}"
         graph.upsert_node(NodeKind.TERM, label)
         embeddings[label] = rng.standard_normal(8)
-    block_bytes = 1024 * 3000 * 8
     tracemalloc.start()
     try:
         extend_context(graph, embeddings)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block_bytes
+    assert peak < 1.5 * SIMILARITY_BLOCK_BYTES
 
 
 # -- weighting ----------------------------------------------------------------
