@@ -9,7 +9,6 @@ edge over that entity set.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -140,7 +139,7 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
     bad = np.flatnonzero(non_finite | ~matrix.any(axis=1))
     if bad.size:
         row = int(bad[0])
-        word, lineno = next(itertools.islice(words.items(), row, None))
+        word, lineno = list(words.items())[row]
         error = (lineno, "non-finite vector component" if non_finite[row] else f"zero vector for {word!r}")
     if error is not None:
         raise FormatError(f"{path}:{error[0]}: {error[1]}")
@@ -219,12 +218,12 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     Neighbour search is exact brute force over the embedded part of the
     graph vocabulary. A term picks up to CONTEXT_MAX_NEIGHBOURS other terms
     with cosine similarity strictly above CONTEXT_SIM_THRESHOLD; ties break
-    on the label. The similarities are computed a block of rows at a time
-    into one reused block of at most SIMILARITY_BLOCK_BYTES (one block up to
-    1,024 terms), and each term's neighbours are selected from its row by
-    repeated argmax, so the candidates are never sorted. The similarity of
-    every recorded (term, neighbour) pair is stored on the edge for later
-    weighting. Returns the number of Context edges added.
+    on the label. The similarities are computed into one reused block of
+    at most SIMILARITY_BLOCK_BYTES, as many rows at a time as fit (all of
+    them up to 1,024 terms), and each term's neighbours are selected from
+    its row by repeated argmax, so the candidates are never sorted. The
+    similarity of every recorded (term, neighbour) pair is stored on the
+    edge for later weighting. Returns the number of Context edges added.
 
     The stored similarities come from a BLAS matrix product, whose last bits
     depend on the whole call: the BLAS build, the CPU, the thread count and
