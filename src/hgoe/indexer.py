@@ -97,10 +97,10 @@ def load_synonyms(path: str) -> list[tuple[str, ...]]:
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
     """Read word2vec text format: header "count dim", then "word v1 .. vd".
 
-    The vectors are rows of one float64 matrix. An error names the earliest
-    bad line and, on it, the first check that fails: component count,
-    duplicate word, non-numeric, non-finite, zero vector. The header count
-    is checked last.
+    The vectors are rows of one float64 matrix. A dim below 1 fails on the
+    header. Otherwise an error names the earliest bad line and, on it, the
+    first check that fails: component count, duplicate word, non-numeric,
+    non-finite, zero vector. The header count is checked last.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -110,6 +110,8 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise FormatError(f"{path}:1: header must be 'count dim'") from exc
+        if dim < 1:
+            raise FormatError(f"{path}:1: dimension must be at least 1, got {dim}")
         # Lines are read up to the first one that fails a per-line check; the
         # whole-matrix checks below can only name an earlier line.
         words: dict[str, int] = {}
@@ -133,8 +135,7 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
             if error is not None:
                 break
             words[word] = lineno
-    # A negative dim leaves no lines, as no line has fewer than 0 components.
-    matrix = np.array(values, dtype=np.float64).reshape(len(words), max(dim, 0))
+    matrix = np.array(values, dtype=np.float64).reshape(len(words), dim)
     non_finite = ~np.isfinite(matrix).all(axis=1)
     bad = np.flatnonzero(non_finite | ~matrix.any(axis=1))
     if bad.size:

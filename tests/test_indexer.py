@@ -594,6 +594,15 @@ def test_load_embeddings_reports_the_earliest_bad_line(tmp_path, lines, error):
     assert str(err.value) == f"{path}:{error}"
 
 
+@pytest.mark.parametrize("content, dim", [("0 -1\n", -1), ("1 -1\ncat 1\n", -1), ("2 0\n", 0)])
+def test_load_embeddings_rejects_a_dimension_below_one_on_the_header(tmp_path, content, dim):
+    path = tmp_path / "vec.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:1: dimension must be at least 1, got {dim}"
+
+
 def test_load_embeddings_checks_the_header_count_after_every_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("3 2\ncat 1 0\ndog 0 0\n", encoding="utf-8")
