@@ -13,10 +13,11 @@ an undirected edge reaches any other member; a directed edge is traversed
 tail to head. The same pass records the entities each term reaches over
 ContainedIn edges (`contained_in`), which seed mapping reads.
 
-Three walk tables are derived from the frozen graph and filled on first
+Four walk tables are derived from the frozen graph and filled on first
 use, not at freeze: per node, the running sums of its out-edge weights
 (`out_weight_sums`) and the edges with few targets that can land on it
-(`target_edges`); per edge, the weights of its targets (`target_weights`).
+(`target_edges`); per edge, the weights of its targets (`target_weights`)
+and their running sums (`target_weight_sums`).
 They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
@@ -159,6 +160,7 @@ class Hypergraph:
         # derived walk tables, filled on first use
         self._weight_sums: dict[int, array] = {}
         self._target_weights: dict[int, tuple[float, ...]] = {}
+        self._target_sums: dict[int, array] = {}
         self._target_edges: dict[int, tuple[int, tuple[int, ...], array]] = {}
         self._head_edges: dict[int, list[int]] | None = None
 
@@ -336,6 +338,17 @@ class Hypergraph:
                 nodes[t].weight for t in self.edges[edge_id].targets
             )
         return weights
+
+    def target_weight_sums(self, edge_id: int) -> array:
+        """Running sums of target_weights(edge_id), in that order.
+
+        Filled on first use, like `out_weight_sums`, and added in the same
+        order, so they are the floats `accumulate` gives over those weights.
+        """
+        sums = self._target_sums.get(edge_id)
+        if sums is None:
+            sums = self._target_sums[edge_id] = array("d", accumulate(self.target_weights(edge_id)))
+        return sums
 
     def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:
         """Ids of the edges with at most max_targets targets that a step can land on node_id by.

@@ -27,16 +27,20 @@ targets are all fatigued; it draws integers(eligible count) and steps over
 the excluded positions: O(log deg) per excluded candidate, not O(deg).
 Each tick of the clock costs O(1) amortised to expire old entries, plus
 one pass over the small edges (`Hypergraph.target_edges`) of the node that
-enters fatigue and of the one that leaves it. An unfatigued weighted step
-bisects the running sums of the out-edge weights
-(`Hypergraph.out_weight_sums`). A weighted step under fatigue lists the
-eligible out-edges and their weights, O(deg). With no node fatigued, a
-weighted step picks its target from the edge's target weights
-(`Hypergraph.target_weights`) sliced around the source, which it finds by
-bisection; under node fatigue it lists the eligible targets. A node found
-to have no eligible transition goes into `FatigueTable.dead_ends` until
-the clock next ticks, so walks that start from it again end at once,
-without a draw.
+enters fatigue and of the one that leaves it. With both windows 0 and the
+table empty, a step only ticks the clock: nothing can expire or enter.
+An unfatigued weighted step bisects the running sums of the out-edge
+weights (`Hypergraph.out_weight_sums`). A weighted step under fatigue
+lists the eligible out-edges and their weights, O(deg). With no node
+fatigued, a weighted step bisects the running sums of the edge's target
+weights (`Hypergraph.target_weight_sums`). When the source, found by
+bisection at position i, is a target, the other targets' running sums
+are the cached sums before i and then the weights after i added on to
+the sum before i: the floats the list without the source gives, so the
+pick is the same, at O(log deg + targets after i). Under node fatigue it
+lists the eligible targets. A node found to have no eligible transition
+goes into `FatigueTable.dead_ends` until the clock next ticks, so walks
+that start from it again end at once, without a draw.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -61,8 +65,8 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,7 +137,10 @@ class FatigueTable:
 
     `dead_ends` holds the nodes a walk found no eligible transition from
     since the clock last ticked; nothing else changes the table, so they
-    stay dead until the next tick.
+    stay dead until the next tick. With both windows 0 and the table
+    empty, `random_walk` ticks `clock` itself instead of calling
+    `advance`: nothing can expire or enter, and a dead end then has no
+    out-edges at all, so `dead_ends` stays as it is.
     """
 
     __slots__ = (
@@ -239,19 +246,17 @@ class BlockDraws:
     a short stream reads ahead and 4096 bounds the memory of a long one.
     """
 
-    __slots__ = ("_float", "_word")
+    __slots__ = ("random", "_word")
 
     def __init__(self, gen: np.random.Generator, integers: bool, budget: int):
-        self._float = self._word = self._wrong_kind
+        # random is the item iterator's own __next__, so a draw runs no Python frame
+        self.random = self._word = self._wrong_kind
         if integers:
             self._word = _blocks(
                 lambda n: gen.integers(0, _WORDS, size=n, dtype=np.uint32), budget
             ).__next__
         else:
-            self._float = _blocks(gen.random, budget).__next__
-
-    def random(self) -> float:
-        return self._float()
+            self.random = _blocks(gen.random, budget).__next__
 
     def integers(self, k: int) -> int:
         """numpy's bounded Lemire method over 32-bit words, for 1 <= k <= 2**32."""
@@ -271,12 +276,11 @@ class BlockDraws:
         raise InternalError("a walk stream draws only the kind its variant uses")
 
 
-def _blocks(read: Callable[[int], np.ndarray], budget: int):
-    """Yield the items of read(n) blocks, n = min(budget left, BLOCK_ITEMS), at least 1."""
-    while True:
-        n = min(max(budget, 1), BLOCK_ITEMS)
-        budget -= n
-        yield from read(n).tolist()
+def _blocks(read: Callable[[int], np.ndarray], budget: int) -> Iterator:
+    """The items of read(n) blocks, n = min(budget left, BLOCK_ITEMS), at least 1."""
+    full, rest = divmod(max(budget, 0), BLOCK_ITEMS)
+    sizes = chain(repeat(BLOCK_ITEMS, full), (rest,) if rest else (), repeat(1))
+    return chain.from_iterable(map(lambda n: read(n).tolist(), sizes))
 
 
 def walk_draws(variant: Variant, query: str, params: RankingParams, seed_count: int) -> BlockDraws:
@@ -326,16 +330,22 @@ def random_walk(
     edges = graph.edges
     nodes = graph.nodes
     out_edges = graph.out_edges
+    out_weight_sums = graph.out_weight_sums
     target_weights = graph.target_weights
+    target_weight_sums = graph.target_weight_sums
+    # with both windows 0 nothing enters the table, so once it is empty a
+    # step only ticks the clock, and no node can be a dead end by fatigue
+    windows = params.node_fatigue or params.edge_fatigue
     visited_edges: list[int] = []
     visited_nodes: list[int] = []
     current = start
     for _ in range(length):
         out = out_edges(current)
         fatigued = fatigue.nodes
+        calm = not fatigued and not fatigue.edges
         if not weighted:
             excluded = ()
-            if fatigue.edges or fatigued:
+            if not calm:
                 excluded = _excluded_positions(graph, out, current, fatigue)
             count = len(out) - len(excluded)
             if count:
@@ -346,7 +356,7 @@ def random_walk(
                         break
                     k += 1
                 edge_id = out[k]
-        elif fatigue.edges or fatigued:
+        elif not calm:
             options = [
                 edge_id for edge_id in out
                 if edge_id not in fatigue.edges and _has_target(edges[edge_id], current, fatigued)
@@ -358,22 +368,37 @@ def random_walk(
         else:
             count = len(out)
             if count:
-                edge_id = out[_pick(graph.out_weight_sums(current), rng.random())]
+                # as _cumulative_pick over the out-edge weights picks
+                sums = out_weight_sums(current)
+                k = bisect_right(sums, rng.random() * sums[-1])
+                edge_id = out[k if k < count else count - 1]
         if not count:
             fatigue.dead_ends.add(current)
             break
         edge = edges[edge_id]
         if weighted and not fatigued:
-            # targets are sorted: drop the source's weight by slicing around it,
-            # which sums the same floats as a list of the other targets' weights
-            targets = edge.targets
-            weights = target_weights(edge_id)
+            # Targets are sorted, so the source, if it is one, sits at i. The
+            # running sums of the other targets' weights are then the cached
+            # sums before i, followed by the weights after i added on to
+            # sums[i - 1]: the very floats accumulate gives over the list of
+            # the other weights, so a bisection picks what that list picks.
+            targets = edge.head or edge.members
+            n = len(targets)
+            sums = target_weight_sums(edge_id)
             i = bisect_left(targets, current)
-            if i < len(targets) and targets[i] == current:
-                k = _cumulative_pick(weights[:i] + weights[i + 1:], rng.random())
-                target = targets[k + 1 if k >= i else k]
+            if i < n and targets[i] == current:
+                before = sums[i - 1] if i else 0.0
+                after = list(accumulate(target_weights(edge_id)[i + 1:], initial=before))
+                x = rng.random() * after[-1]
+                if x < before or i == n - 1:
+                    k = bisect_right(sums, x, 0, i)
+                    target = targets[k if k < i else i - 1]
+                else:
+                    k = i + bisect_right(after, x, 1)
+                    target = targets[k if k < n else n - 1]
             else:
-                target = targets[_cumulative_pick(weights, rng.random())]
+                k = bisect_right(sums, rng.random() * sums[-1])
+                target = targets[k if k < n else n - 1]
         elif weighted or fatigued or edge.head:
             targets = [t for t in edge.targets if t != current and t not in fatigued]
             if weighted:
@@ -389,7 +414,10 @@ def random_walk(
             target = members[k] if members[k] < current else members[k + 1]
         visited_edges.append(edge_id)
         visited_nodes.append(target)
-        fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
+        if calm and not windows:
+            fatigue.clock += 1
+        else:
+            fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
         if step_listener is not None:
             step_listener(fatigue.clock, edge_id, target)
         current = target
@@ -432,12 +460,8 @@ def _has_target(edge: Hyperedge, source: int, fatigued: dict[int, int]) -> bool:
 
 
 def _cumulative_pick(weights: Sequence[float], u: float) -> int:
-    """The first index whose running weight sum exceeds u times the total."""
-    return _pick(list(accumulate(weights)), u)
-
-
-def _pick(cumulative: Sequence[float], u: float) -> int:
-    """The first index of the running sums `cumulative` that exceeds u times the total."""
+    """The first index whose running weight sum exceeds u times the total, at most the last."""
+    cumulative = list(accumulate(weights))
     return min(bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
 
 

@@ -326,6 +326,22 @@ def test_target_weights_follow_the_targets_and_wait_for_freeze():
     assert g.target_weights(doc) is g.target_weights(doc)
 
 
+def test_target_weight_sums_add_the_target_weights_in_order_and_wait_for_freeze():
+    g = Hypergraph(Variant.WEIGHTED)
+    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
+    e = g.upsert_node(NodeKind.ENTITY, "e")
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
+    for item, weight in zip((*g.nodes, *g.edges), (0.1, 0.2, 0.3, 1.0, 1.0)):
+        item.weight = weight
+    with pytest.raises(InvariantError):
+        g.target_weight_sums(doc)
+    g.freeze()
+    assert list(g.target_weight_sums(doc)) == [0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3]
+    assert list(g.target_weight_sums(contained)) == [0.3]
+    assert g.target_weight_sums(doc) is g.target_weight_sums(doc)
+
+
 def test_source_node_never_a_target():
     rng = np.random.default_rng(3)
     for _ in range(10):

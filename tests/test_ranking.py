@@ -690,3 +690,146 @@ def test_weighted_target_stage_picks_what_the_filtered_list_picks():
         others = {(doc, t) for t in terms if t != source}
         expected = others | {(contained, e) for e in entities} if source == terms[3] else others
         assert seen == expected
+
+
+class StubDraws:
+    """A draw source that returns the given random() values in turn and no integers."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def weighted_star(weights):
+    """A Document edge over terms weighted `weights`, and a ContainedIn edge from
+    one more term to entities weighted the same; returns (graph, terms, tail, entities)."""
+    g = Hypergraph(Variant.WEIGHTED)
+    terms = [g.upsert_node(NodeKind.TERM, f"t{i:02d}") for i in range(len(weights))]
+    tail = g.upsert_node(NodeKind.TERM, "tail")
+    entities = [g.upsert_node(NodeKind.ENTITY, f"E{i:02d}") for i in range(len(weights))]
+    g.add_edge(EdgeKind.DOCUMENT, members=terms, doc_id="d")
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[tail], head=entities)
+    for node_id, weight in zip([*terms, *entities], [*weights, *weights]):
+        g.nodes[node_id].weight = weight
+    g.nodes[tail].weight = 1.0
+    for edge in g.edges:
+        edge.weight = 0.5
+    g.freeze()
+    return g, terms, tail, entities
+
+
+def one_step(graph, start, u):
+    """The target one weighted step from start takes when the target stage draws u."""
+    _, visited, steps = random_walk(
+        graph, start, 1, FatigueTable(), RankingParams(), StubDraws([0.5, u])
+    )
+    assert steps == 1
+    return visited[0]
+
+
+def test_weighted_target_pick_from_cached_sums_matches_the_list_of_other_weights():
+    """Every source position, u at both ends of [0, 1) and random, weights 1e-17 apart."""
+    rng = np.random.default_rng(77)
+    special = (1.0, 1e-16, 3e-17)
+    checked = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 41))
+        weights = [
+            special[int(rng.integers(3))] if rng.random() < 0.5 else float(rng.uniform(0.05, 1.0))
+            for _ in range(n)
+        ]
+        graph, terms, tail, entities = weighted_star(weights)
+        for u in (0.0, 1.0 - 2.0**-53, float(rng.random())):
+            k = ranking._cumulative_pick(weights, u)
+            assert one_step(graph, tail, u) == entities[k]
+            for i, source in enumerate(terms):
+                k = ranking._cumulative_pick(weights[:i] + weights[i + 1:], u)
+                assert one_step(graph, source, u) == terms[k + 1 if k >= i else k]
+                checked += 1
+    assert checked > 3000
+
+
+@pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
+def test_weighted_target_pick_at_the_top_of_the_draw_range(u):
+    """The largest draw takes the last target other than the source, wherever it sits.
+
+    random() never returns 1.0; the stub does, so the clamp to the last
+    target runs inside random_walk, as it does in _cumulative_pick.
+    """
+    weights = [0.5, 0.25, 0.125, 1e-17]
+    graph, terms, tail, entities = weighted_star(weights)
+    assert one_step(graph, tail, u) == entities[-1 if u == 1.0 else -2]
+    for i, source in enumerate(terms):
+        others = [t for t in terms if t != source]
+        # 1e-17 is lost when added to the others' sum, so only u == 1.0 reaches it
+        want = others[-1] if u == 1.0 or source == terms[-1] else others[-2]
+        assert one_step(graph, source, u) == want
+        assert want == others[ranking._cumulative_pick(weights[:i] + weights[i + 1:], u)]
+
+
+# -- the clock with both fatigue windows 0 ----------------------------------------
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+def test_zero_windows_tick_the_clock_once_per_step_across_walks(variant):
+    graph, hub = hub_graph(variant)
+    clocks = []
+    result = rws(graph, "hub leaf000", RankingParams(walk_length=3, repeats=40),
+                 lambda clock, edge_id, target: clocks.append(clock))
+    assert result.total_steps > 200
+    assert clocks == list(range(1, result.total_steps + 1))
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+def test_zero_windows_keep_a_node_without_out_edges_a_dead_end(variant):
+    g = Hypergraph(variant)
+    lone, a, b = (g.upsert_node(NodeKind.TERM, name) for name in ("lone", "a", "b"))
+    e_ab = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    for item in (*g.nodes, *g.edges):
+        item.weight = 0.5 if variant is Variant.WEIGHTED else None
+    g.freeze()
+    fatigue, rng = FatigueTable(), make_stream(0, "lone")
+    for clock in (0, 1, 2):
+        state = rng.bit_generator.state
+        assert random_walk(g, lone, 3, fatigue, RankingParams(), rng) == ([], [], 0)
+        assert rng.bit_generator.state == state
+        assert fatigue.dead_ends == {lone}
+        assert fatigue.clock == clock
+        # a step elsewhere ticks the clock and leaves the memo: nothing can revive lone
+        assert random_walk(g, a, 1, fatigue, RankingParams(), rng) == ([e_ab], [b], 1)
+
+
+def test_zero_windows_still_expire_a_table_filled_with_open_windows():
+    graph, e_a, e_b = two_component_graph()
+    s1, aux1, s2, aux2 = range(4)
+    table, twin = FatigueTable(), FatigueTable()
+    for t in (table, twin):
+        t.advance(e_a, aux1, 2, 2)  # aux1 and e_a blocked until the tick to clock 3
+    assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([], [], 0)
+    assert table.dead_ends == {s1}
+    seen = []
+    got = random_walk(graph, s2, 4, table, RankingParams(), make_stream(0, "x"),
+                      lambda clock, edge_id, target: seen.append((clock, edge_id, target)))
+    assert got == ([e_b] * 4, [aux2, s2, aux2, s2], 4)
+    for clock, edge_id, target in seen:
+        twin.advance(edge_id, target, 0, 0)
+        assert clock == twin.clock
+    assert [clock for clock, _, _ in seen] == [2, 3, 4, 5]
+    assert (table.clock, table.nodes, table.edges) == (twin.clock, twin.nodes, twin.edges) == (5, {}, {})
+    # the tick to clock 3 ended the windows and the memo, so s1 walks again
+    assert table.dead_ends == set()
+    assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([e_a], [aux1], 1)
+
+
+def test_target_sums_cache_holds_only_walked_edges_one_sum_per_target():
+    graph, hub = hub_graph(Variant.WEIGHTED)
+    walked = set()
+    result = rws(graph, "hub leaf000 leaf100", RankingParams(walk_length=3, repeats=200),
+                 lambda clock, edge_id, target: walked.add(edge_id))
+    assert result.total_steps > 1000
+    cache = graph._target_sums
+    assert cache.keys() == walked
+    assert len(walked) < len(graph.edges)
+    for edge_id, sums in cache.items():
+        assert len(sums) == len(graph.edges[edge_id].targets)
