@@ -347,7 +347,9 @@ class Hypergraph:
         """
         sums = self._target_sums.get(edge_id)
         if sums is None:
-            sums = self._target_sums[edge_id] = array("d", accumulate(self.target_weights(edge_id)))
+            # from a list, so the array is allocated at its exact length
+            sums = array("d", list(accumulate(self.target_weights(edge_id))))
+            self._target_sums[edge_id] = sums
         return sums
 
     def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:
