@@ -315,13 +315,14 @@ class Hypergraph:
         """Running sums of the weights of out_edges(node_id), in that order.
 
         Filled on first use. The sums are added in out-edge order, so they
-        are the floats `accumulate` gives over a list of those weights.
+        are the floats `accumulate` gives over a list of those weights. The
+        array is built from a list, so it is allocated at its exact length.
         """
         sums = self._weight_sums.get(node_id)
         if sums is None:
             edges = self.edges
             weights = (edges[e].weight for e in self.out_edges(node_id))
-            sums = self._weight_sums[node_id] = array("d", accumulate(weights))
+            sums = self._weight_sums[node_id] = array("d", list(accumulate(weights)))
         return sums
 
     def target_weights(self, edge_id: int) -> tuple[float, ...]:
@@ -347,9 +348,8 @@ class Hypergraph:
         """
         sums = self._target_sums.get(edge_id)
         if sums is None:
-            # from a list, so the array is allocated at its exact length
-            sums = array("d", list(accumulate(self.target_weights(edge_id))))
-            self._target_sums[edge_id] = sums
+            weights = self.target_weights(edge_id)
+            sums = self._target_sums[edge_id] = array("d", list(accumulate(weights)))
         return sums
 
     def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:

@@ -322,7 +322,8 @@ def random_walk(
     node is not a visit. The walk ends early when no eligible transition
     remains.
     """
-    # only the start can be a known dead end: each executed step clears the memo
+    # only the start needs the memo: an executed step clears it, except a
+    # zero-window tick, after which it holds only nodes without out-edges
     if start in fatigue.dead_ends:
         return [], [], 0
     fatigue.bind(graph, params.node_fatigue)
@@ -381,7 +382,8 @@ def random_walk(
             # running sums of the other targets' weights are then the cached
             # sums before i, followed by the weights after i added on to
             # sums[i - 1]: the very floats accumulate gives over the list of
-            # the other weights, so a bisection picks what that list picks.
+            # the other weights, so a bisection picks what that list picks,
+            # clamped to the last of the other targets as _cumulative_pick clamps.
             targets = edge.head or edge.members
             n = len(targets)
             sums = target_weight_sums(edge_id)
