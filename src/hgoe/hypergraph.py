@@ -13,11 +13,11 @@ an undirected edge reaches any other member; a directed edge is traversed
 tail to head. The same pass records the entities each term reaches over
 ContainedIn edges (`contained_in`), which seed mapping reads.
 
-Four walk tables are derived from the frozen graph and filled on first
+Three walk tables are derived from the frozen graph and filled on first
 use, not at freeze: per node, the running sums of its out-edge weights
 (`out_weight_sums`) and the edges with few targets that can land on it
-(`target_edges`); per edge, the weights of its targets (`target_weights`)
-and their running sums (`target_weight_sums`).
+(`target_edges`); per edge, one packed array of its target weights, their
+running sums and the totals of the other targets (`target_table`).
 They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
@@ -159,8 +159,7 @@ class Hypergraph:
         self._contained_in: dict[int, tuple[int, ...]] = {}
         # derived walk tables, filled on first use
         self._weight_sums: dict[int, array] = {}
-        self._target_weights: dict[int, tuple[float, ...]] = {}
-        self._target_sums: dict[int, array] = {}
+        self.target_tables: dict[int, array] = {}  # see target_table
         self._target_edges: dict[int, tuple[int, tuple[int, ...], array]] = {}
         self._head_edges: dict[int, list[int]] | None = None
 
@@ -325,32 +324,26 @@ class Hypergraph:
             sums = self._weight_sums[node_id] = array("d", list(accumulate(weights)))
         return sums
 
-    def target_weights(self, edge_id: int) -> tuple[float, ...]:
-        """The weights of the nodes in edges[edge_id].targets, in that order.
+    def target_table(self, edge_id: int) -> array:
+        """One array over the n targets of edges[edge_id], filled on first use.
 
-        Filled on first use, like `out_weight_sums`.
+        Items 0..n-1 are the target weights in target order and n..2n-1
+        their running sums, added as `accumulate` adds them. Item 2n + i is
+        the total weight of the targets other than the one at i, 0.0 until
+        a walk first adds the weights after i, one at a time, onto the sum
+        before i; every weight is above 0, so a total is never 0.0. Walks
+        read `target_tables` with `get` and call this on a miss.
         """
-        weights = self._target_weights.get(edge_id)
-        if weights is None:
+        table = self.target_tables.get(edge_id)
+        if table is None:
             if not self._frozen:
                 raise InvariantError("graph must be frozen before walking")
             nodes = self.nodes
-            weights = self._target_weights[edge_id] = tuple(
-                nodes[t].weight for t in self.edges[edge_id].targets
+            weights = [nodes[t].weight for t in self.edges[edge_id].targets]
+            table = self.target_tables[edge_id] = array(
+                "d", weights + list(accumulate(weights)) + [0.0] * len(weights)
             )
-        return weights
-
-    def target_weight_sums(self, edge_id: int) -> array:
-        """Running sums of target_weights(edge_id), in that order.
-
-        Filled on first use, like `out_weight_sums`, and added in the same
-        order, so they are the floats `accumulate` gives over those weights.
-        """
-        sums = self._target_sums.get(edge_id)
-        if sums is None:
-            weights = self.target_weights(edge_id)
-            sums = self._target_sums[edge_id] = array("d", list(accumulate(weights)))
-        return sums
+        return table
 
     def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:
         """Ids of the edges with at most max_targets targets that a step can land on node_id by.

@@ -169,6 +169,9 @@ def index_corpus(
         if embeddings is None:
             raise ConfigError(f"variant {variant.value} requires an embedding table")
     graph = Hypergraph(variant)
+    # A linked entity's name terms and ContainedIn edge are made on its first
+    # link; a later link would find both already there.
+    named: set[int] = set()
     for doc in documents:
         terms = list(dict.fromkeys(tokenize(doc.text)))
         entities = list(dict.fromkeys(doc.links))
@@ -178,6 +181,9 @@ def index_corpus(
         entity_ids = graph.upsert_nodes(NodeKind.ENTITY, entities)
         graph.add_edge(EdgeKind.DOCUMENT, members=term_ids + entity_ids, doc_id=doc.doc_id)
         for entity, entity_id in zip(entities, entity_ids):
+            if entity_id in named:
+                continue
+            named.add(entity_id)
             name_terms = list(dict.fromkeys(tokenize(entity)))
             if not name_terms:
                 raise InputError(f"entity name {entity!r} has no tokens")

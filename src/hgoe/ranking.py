@@ -32,15 +32,19 @@ table empty, a step only ticks the clock: nothing can expire or enter.
 An unfatigued weighted step bisects the running sums of the out-edge
 weights (`Hypergraph.out_weight_sums`). A weighted step under fatigue
 lists the eligible out-edges and their weights, O(deg). With no node
-fatigued, a weighted step bisects the running sums of the edge's target
-weights (`Hypergraph.target_weight_sums`). When the source, found by
-bisection at position i, is a target, the other targets' running sums
-are the cached sums before i and then the weights after i added on to
-the sum before i: the floats the list without the source gives, so the
-pick is the same, at O(log deg + targets after i). Under node fatigue it
-lists the eligible targets. A node found to have no eligible transition
-goes into `FatigueTable.dead_ends` until the clock next ticks, so walks
-that start from it again end at once, without a draw.
+fatigued, a weighted step reads the edge's target table
+(`Hypergraph.target_table`): the target weights, their running sums and
+a memo of the other targets' total per source position. When the source,
+found by bisection at position i, is a target, the other targets'
+running sums are the cached sums before i and then the weights after i
+added on to the sum before i: the floats the list without the source
+gives. The first step from i adds them all for the total; later ones
+read it. A draw below the sum before i bisects the cached sums, O(log
+deg); one above it adds the weights after i only until a sum exceeds
+it, and builds no list. Under node fatigue it lists the eligible
+targets. A node found to have no eligible transition goes into
+`FatigueTable.dead_ends` until the clock next ticks, so walks that start
+from it again end at once, without a draw.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -332,8 +336,8 @@ def random_walk(
     nodes = graph.nodes
     out_edges = graph.out_edges
     out_weight_sums = graph.out_weight_sums
-    target_weights = graph.target_weights
-    target_weight_sums = graph.target_weight_sums
+    tables = graph.target_tables
+    target_table = graph.target_table
     # with both windows 0 nothing enters the table, so once it is empty a
     # step only ticks the clock, and no node can be a dead end by fatigue
     windows = params.node_fatigue or params.edge_fatigue
@@ -382,24 +386,37 @@ def random_walk(
             # running sums of the other targets' weights are then the cached
             # sums before i, followed by the weights after i added on to
             # sums[i - 1]: the very floats accumulate gives over the list of
-            # the other weights, so a bisection picks what that list picks,
-            # clamped to the last of the other targets as _cumulative_pick clamps.
+            # the other weights. A draw below sums[i - 1] bisects the cached
+            # sums; one above adds the weights after i until a sum exceeds it,
+            # the index bisect_right finds in that list, clamped to the last
+            # of the other targets as _cumulative_pick clamps.
             targets = edge.head or edge.members
             n = len(targets)
-            sums = target_weight_sums(edge_id)
+            table = tables.get(edge_id)
+            if table is None:
+                table = target_table(edge_id)
             i = bisect_left(targets, current)
             if i < n and targets[i] == current:
-                before = sums[i - 1] if i else 0.0
-                after = list(accumulate(target_weights(edge_id)[i + 1:], initial=before))
-                x = rng.random() * after[-1]
+                before = table[n + i - 1] if i else 0.0
+                total = table[2 * n + i]
+                if not total:
+                    total = before
+                    for j in range(i + 1, n):
+                        total += table[j]
+                    table[2 * n + i] = total
+                x = rng.random() * total
                 if x < before or i == n - 1:
-                    k = bisect_right(sums, x, 0, i)
+                    k = bisect_right(table, x, n, n + i) - n
                     target = targets[k if k < i else i - 1]
                 else:
-                    k = i + bisect_right(after, x, 1)
-                    target = targets[k if k < n else n - 1]
+                    running = before
+                    for k in range(i + 1, n):
+                        running += table[k]
+                        if running > x:
+                            break
+                    target = targets[k]
             else:
-                k = bisect_right(sums, rng.random() * sums[-1])
+                k = bisect_right(table, rng.random() * table[2 * n - 1], n, 2 * n) - n
                 target = targets[k if k < n else n - 1]
         elif weighted or fatigued or edge.head:
             targets = [t for t in edge.targets if t != current and t not in fatigued]

@@ -319,11 +319,13 @@ def test_target_weights_follow_the_targets_and_wait_for_freeze():
     for item, weight in zip((*g.nodes, *g.edges), (0.5, 0.25, 0.125, 1.0, 1.0)):
         item.weight = weight
     with pytest.raises(InvariantError):
-        g.target_weights(doc)
+        g.target_table(doc)
     g.freeze()
-    assert g.target_weights(doc) == (0.5, 0.25, 0.125)
-    assert g.target_weights(contained) == (0.125,)
-    assert g.target_weights(doc) is g.target_weights(doc)
+    # the weights come first, in target order
+    assert list(g.target_table(doc))[:3] == [0.5, 0.25, 0.125]
+    assert list(g.target_table(contained))[:1] == [0.125]
+    assert g.target_table(doc) is g.target_table(doc)
+    assert g.target_tables[doc] is g.target_table(doc)
 
 
 def test_target_weight_sums_add_the_target_weights_in_order_and_wait_for_freeze():
@@ -335,11 +337,13 @@ def test_target_weight_sums_add_the_target_weights_in_order_and_wait_for_freeze(
     for item, weight in zip((*g.nodes, *g.edges), (0.1, 0.2, 0.3, 1.0, 1.0)):
         item.weight = weight
     with pytest.raises(InvariantError):
-        g.target_weight_sums(doc)
+        g.target_table(doc)
     g.freeze()
-    assert list(g.target_weight_sums(doc)) == [0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3]
-    assert list(g.target_weight_sums(contained)) == [0.3]
-    assert g.target_weight_sums(doc) is g.target_weight_sums(doc)
+    # weights, then their running sums, then one unfilled total per target
+    assert list(g.target_table(doc)) == [
+        0.1, 0.2, 0.3, 0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3, 0.0, 0.0, 0.0]
+    assert list(g.target_table(contained)) == [0.3, 0.3, 0.0]
+    assert g.target_table(doc) is g.target_table(doc)
 
 
 def test_source_node_never_a_target():

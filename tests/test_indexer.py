@@ -123,6 +123,47 @@ def test_shared_structure_is_deduplicated():
     assert _document_frequency(graph, NodeKind.ENTITY) == {"Oslo": 2, "Bergen": 2}
 
 
+def _index_per_link(docs):
+    """The base graph when every link tokenizes its entity name and offers its ContainedIn edge."""
+    g = Hypergraph(Variant.BASE)
+    for doc in docs:
+        term_ids = g.upsert_nodes(NodeKind.TERM, list(dict.fromkeys(tokenize(doc.text))))
+        entity_ids = g.upsert_nodes(NodeKind.ENTITY, list(dict.fromkeys(doc.links)))
+        g.add_edge(EdgeKind.DOCUMENT, members=term_ids + entity_ids, doc_id=doc.doc_id)
+        for entity, entity_id in zip(dict.fromkeys(doc.links), entity_ids):
+            name_ids = g.upsert_nodes(NodeKind.TERM, list(dict.fromkeys(tokenize(entity))))
+            g.add_edge(EdgeKind.CONTAINED_IN, tail=name_ids, head=[entity_id])
+        if len(entity_ids) >= 2:
+            g.add_edge(EdgeKind.RELATED_TO, members=entity_ids)
+    return g.freeze()
+
+
+def test_an_entity_linked_by_three_documents_is_named_once(monkeypatch):
+    docs = [
+        CorpusDocument("d1", "boat", ("Grand Canal",)),
+        CorpusDocument("d2", "canal trip", ("Rialto", "Grand Canal")),
+        CorpusDocument("d3", "", ("Grand Canal", "Grand Canal", "Rialto")),
+    ]
+    expected = _index_per_link(docs)
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr("hgoe.indexer.tokenize", counting_tokenize)
+    graph = index_corpus(docs)
+    assert graph.structurally_equal(expected)
+    assert calls.count("Grand Canal") == 1
+    assert calls.count("Rialto") == 1
+    contained = [e for e in graph.edges if e.kind is EdgeKind.CONTAINED_IN]
+    assert [(e.tail, e.head) for e in contained] == [
+        ((graph.node_id(NodeKind.TERM, "grand"), graph.node_id(NodeKind.TERM, "canal")),
+         (graph.node_id(NodeKind.ENTITY, "Grand Canal"),)),
+        ((graph.node_id(NodeKind.TERM, "rialto"),), (graph.node_id(NodeKind.ENTITY, "Rialto"),)),
+    ]
+
+
 def test_document_without_text_is_fine_with_links():
     graph = index_corpus([CorpusDocument("d1", "", ("Rome",))])
     assert graph.doc_count == 1

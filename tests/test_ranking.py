@@ -828,8 +828,68 @@ def test_target_sums_cache_holds_only_walked_edges_one_sum_per_target():
     result = rws(graph, "hub leaf000 leaf100", RankingParams(walk_length=3, repeats=200),
                  lambda clock, edge_id, target: walked.add(edge_id))
     assert result.total_steps > 1000
-    cache = graph._target_sums
+    cache = graph.target_tables
     assert cache.keys() == walked
     assert len(walked) < len(graph.edges)
-    for edge_id, sums in cache.items():
-        assert len(sums) == len(graph.edges[edge_id].targets)
+    for edge_id, table in cache.items():
+        targets = graph.edges[edge_id].targets
+        n = len(targets)
+        # n weights, n running sums, n totals: one sum per target, no more
+        assert len(table) == 3 * n
+        weights = [graph.nodes[t].weight for t in targets]
+        assert list(table[:2 * n]) == weights + list(accumulate(weights))
+
+
+def mixed_weights(rng):
+    """2-40 weights, each 1.0, 1e-16, 3e-17 or uniform(0.05, 1): sums that lose low bits."""
+    special = (1.0, 1e-16, 3e-17)
+    return [
+        special[int(rng.integers(3))] if rng.random() < 0.5 else float(rng.uniform(0.05, 1.0))
+        for _ in range(int(rng.integers(2, 41)))
+    ]
+
+
+def test_memoised_other_target_totals_add_the_other_weights_in_order():
+    """Each source position's total is the last running sum of the list without it, bit for bit."""
+    rng = np.random.default_rng(91)
+    differs_from_subtraction = 0
+    for _ in range(120):
+        weights = mixed_weights(rng)
+        n = len(weights)
+        graph, terms, tail, entities = weighted_star(weights)
+        table = graph.target_table(graph.doc_edge_id("d"))
+        assert list(table[2 * n:]) == [0.0] * n
+        for i, source in enumerate(terms):
+            one_step(graph, source, 0.5)
+            total = list(accumulate(weights[:i] + weights[i + 1:]))[-1]
+            assert table[2 * n + i] == total
+            differs_from_subtraction += table[2 * n - 1] - weights[i] != total
+            one_step(graph, source, 0.5)  # reads the memo and leaves it as it is
+            assert table[2 * n + i] == total
+        # a step from outside an edge's targets fills none of its totals
+        one_step(graph, tail, 0.5)
+        (contained,) = graph.out_edges(tail)
+        assert list(graph.target_tables[contained][2 * n:]) == [0.0] * n
+    assert differs_from_subtraction > 100
+
+
+def test_weighted_target_scan_picks_what_bisect_right_over_the_re_added_list_picks():
+    """Draws at or above the sum before the source, u = 1.0 (the clamp) among them."""
+    rng = np.random.default_rng(92)
+    scanned = 0
+    for _ in range(120):
+        weights = mixed_weights(rng)
+        n = len(weights)
+        graph, terms, tail, entities = weighted_star(weights)
+        for i, source in enumerate(terms[:-1]):
+            before = list(accumulate(weights[:i], initial=0.0))[-1]
+            after = list(accumulate(weights[i + 1:], initial=before))
+            low = before / after[-1]
+            for u in (low, float(rng.uniform(low, 1.0)), 1.0 - 2.0**-53, 1.0):
+                x = u * after[-1]
+                if x < before:
+                    continue
+                k = i + min(bisect_right(after, x, 1), n - 1 - i)
+                assert one_step(graph, source, u) == terms[k]
+                scanned += 1
+    assert scanned > 8000
