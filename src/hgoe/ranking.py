@@ -15,24 +15,24 @@ blocked for exactly the next `delta` sampling decisions, i.e. clocks
 t+1 .. t+delta. The clock advances only when some walker executes a step,
 so a walk that finds no eligible transition ends early without a tick.
 
-Cost of a step: an unweighted step does not list its eligible out-edges.
-An out-edge is ruled out only when it is fatigued or every target other
-than the source is fatigued, and the latter needs at most node_fatigue + 1
-targets. The fatigue table keeps those small edges' fatigued-target counts
-as nodes enter and leave fatigue, so it always knows the edges whose
-targets are all fatigued (`FatigueTable.dead_edges`). A step bisects the
-current node's sorted out-edges for each fatigued edge and each dead edge,
-and, when the source itself is unfatigued, for its small edges whose other
-targets are all fatigued; it draws integers(eligible count) and steps over
-the excluded positions: O(log deg) per excluded candidate, not O(deg).
+Cost of a step: an out-edge is ruled out only when it is fatigued or
+every target other than the source is fatigued, and the latter needs at
+most node_fatigue + 1 targets. The fatigue table keeps those small edges'
+fatigued-target counts as nodes enter and leave fatigue, so it always
+knows the edges whose targets are all fatigued (`FatigueTable.dead_edges`).
+Both variants bisect the current node's sorted out-edges for each fatigued
+edge and each dead edge, and, when the source itself is unfatigued, for
+its small edges whose other targets are all fatigued: O(log deg) per
+excluded candidate. A step picks k among the eligible out-edges and steps
+k over the excluded positions. Unweighted, it draws integers(count);
+weighted, it bisects the running sums of the out-edge weights
+(`Hypergraph.out_weight_sums`) when nothing is excluded, and otherwise
+lists the other out-edges' weights, O(deg).
 Each tick of the clock costs O(1) amortised to expire old entries, plus
 one pass over the small edges (`Hypergraph.target_edges`) of the node that
 enters fatigue and of the one that leaves it. With both windows 0 and the
 table empty, a step only ticks the clock: nothing can expire or enter.
-An unfatigued weighted step bisects the running sums of the out-edge
-weights (`Hypergraph.out_weight_sums`). A weighted step under fatigue
-lists the eligible out-edges and their weights, O(deg). With no node
-fatigued, a weighted step reads the edge's target table
+With no node fatigued, a weighted step reads the edge's target table
 (`Hypergraph.target_table`): the target weights, their running sums and
 a memo of the other targets' total per source position. When the source,
 found by bisection at position i, is a target, the other targets'
@@ -75,7 +75,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, InternalError
-from .hypergraph import EdgeKind, Hyperedge, Hypergraph, NodeKind, Variant
+from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant
 from .indexer import tokenize
 
 StepListener = Callable[[int, int, int], None]
@@ -348,38 +348,30 @@ def random_walk(
         out = out_edges(current)
         fatigued = fatigue.nodes
         calm = not fatigued and not fatigue.edges
-        if not weighted:
-            excluded = ()
-            if not calm:
-                excluded = _excluded_positions(graph, out, current, fatigue)
-            count = len(out) - len(excluded)
-            if count:
-                # the k-th eligible out-edge: step k past each excluded position up to it
-                k = rng.integers(count)
-                for position in excluded:
-                    if position > k:
-                        break
-                    k += 1
-                edge_id = out[k]
-        elif not calm:
-            options = [
-                edge_id for edge_id in out
-                if edge_id not in fatigue.edges and _has_target(edges[edge_id], current, fatigued)
-            ]
-            count = len(options)
-            if count:
-                weights = [edges[e].weight for e in options]
-                edge_id = options[_cumulative_pick(weights, rng.random())]
-        else:
-            count = len(out)
-            if count:
-                # as _cumulative_pick over the out-edge weights picks
-                sums = out_weight_sums(current)
-                k = bisect_right(sums, rng.random() * sums[-1])
-                edge_id = out[k if k < count else count - 1]
+        excluded = () if calm else _excluded_positions(graph, out, current, fatigue)
+        count = len(out) - len(excluded)
         if not count:
             fatigue.dead_ends.add(current)
             break
+        if not weighted:
+            k = rng.integers(count)
+        elif excluded:
+            weights = [edges[e].weight for e in out]
+            for position in reversed(excluded):
+                del weights[position]
+            k = _cumulative_pick(weights, rng.random())
+        else:
+            # as _cumulative_pick over the out-edge weights picks
+            sums = out_weight_sums(current)
+            k = bisect_right(sums, rng.random() * sums[-1])
+            if k == count:
+                k -= 1
+        # the k-th eligible out-edge: step k past each excluded position up to it
+        for position in excluded:
+            if position > k:
+                break
+            k += 1
+        edge_id = out[k]
         edge = edges[edge_id]
         if weighted and not fatigued:
             # Targets are sorted, so the source, if it is one, sits at i. The
@@ -448,10 +440,11 @@ def _excluded_positions(
 ) -> list[int]:
     """Ascending positions in `out`, the out-edges of source, that fatigue rules out.
 
-    An out-edge is ruled out when it is fatigued, or when every target
-    other than source is fatigued: all of its targets are (a dead edge),
-    or source is an unfatigued target and all the others are, which needs
-    at most node_fatigue + 1 targets.
+    The one statement of the edge rule; unweighted and weighted steps both
+    use it. An out-edge is ruled out when it is fatigued, or when every
+    target other than source is fatigued: all of its targets are (a dead
+    edge), or source is an unfatigued target and all the others are, which
+    needs at most node_fatigue + 1 targets.
     """
     candidates = fatigue.edges.keys() | fatigue.dead_edges
     fatigued = fatigue.nodes
@@ -468,14 +461,6 @@ def _excluded_positions(
             positions.append(i)
     positions.sort()
     return positions
-
-
-def _has_target(edge: Hyperedge, source: int, fatigued: dict[int, int]) -> bool:
-    """True when a step over edge can still reach an unfatigued node other than source."""
-    for node in edge.targets:
-        if node != source and node not in fatigued:
-            return True
-    return False
 
 
 def _cumulative_pick(weights: Sequence[float], u: float) -> int:

@@ -33,6 +33,16 @@ def format_run_lines(
 
 
 def write_run(out: TextIO, run: dict[str, Sequence[tuple[str, float]]], tag: str = "hgoe") -> None:
+    """Write run lines for every topic, in the order of `run`.
+
+    read_run splits lines on whitespace, so unless the tag and every id are
+    one whitespace-free token, InputError is raised before any line is written.
+    """
+    fields = [("run tag", tag), *(("topic id", topic_id) for topic_id in run)]
+    fields += (("doc id", doc_id) for entries in run.values() for doc_id, _ in entries)
+    for kind, value in fields:
+        if value.split() != [value]:
+            raise InputError(f"a run file cannot hold {kind} {value!r}: it is not one token")
     for topic_id in run:
         for line in format_run_lines(topic_id, run[topic_id], tag):
             out.write(line + "\n")

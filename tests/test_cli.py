@@ -217,6 +217,29 @@ def test_search_input_validation(workspace, capsys):
     capsys.readouterr()
 
 
+def test_search_writes_no_run_file_its_own_evaluate_cannot_read(workspace, capsys):
+    """The corpus and topics readers accept ids with spaces; a run line cannot hold them."""
+    corpus = workspace / "spaced.jsonl"
+    corpus.write_text(
+        '{"id": "doc 1", "text": "solar panels power the grid", "links": []}\n'
+        '{"id": "d2", "text": "solar cells charge batteries", "links": []}\n',
+        encoding="utf-8",
+    )
+    topics = workspace / "spaced.tsv"
+    run = workspace / "run.txt"
+    for topic_id, bad in (("q 1", "topic id 'q 1'"), ("q1", "doc id 'doc 1'")):
+        topics.write_text(f"{topic_id}\tsolar\n", encoding="utf-8")
+        code = cli.main([
+            "search", "--corpus", str(corpus), "--topics", str(topics),
+            "--repeats", "50", "--out", str(run),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: a run file cannot hold {bad}: it is not one token\n"
+        )
+        assert run.read_text(encoding="utf-8") == ""
+
+
 def test_search_rejects_corrupt_index(workspace, capsys):
     bad = workspace / "bad.hgoe"
     bad.write_bytes(b"XXXX not an index")

@@ -769,6 +769,37 @@ def test_weighted_target_pick_at_the_top_of_the_draw_range(u):
         assert want == others[ranking._cumulative_pick(weights[:i] + weights[i + 1:], u)]
 
 
+@pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
+@pytest.mark.parametrize("fatigued", [(4,), (2,), (4, 2)], ids=["last", "middle", "both"])
+def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fatigued):
+    """The largest draw takes the last eligible out-edge, wherever the excluded ones sit.
+
+    The edges are fatigued by `advance`, so the step picks from the weights
+    of the other out-edges and steps past the excluded positions.
+    """
+    weights = [0.5, 0.25, 0.125, 0.0625, 1e-17]
+    g = Hypergraph(Variant.WEIGHTED)
+    source = g.upsert_node(NodeKind.TERM, "source")
+    leaves = [g.upsert_node(NodeKind.TERM, f"leaf{i}") for i in range(len(weights))]
+    edges = [g.add_edge(EdgeKind.SYNONYM, members=[source, leaf]) for leaf in leaves]
+    for node in g.nodes:
+        node.weight = 0.5
+    for edge_id, weight in zip(edges, weights):
+        g.edges[edge_id].weight = weight
+    g.freeze()
+    assert g.out_edges(source) == tuple(edges)
+    params = RankingParams(edge_fatigue=5)
+    fatigue = FatigueTable()
+    for position in fatigued:
+        fatigue.advance(edges[position], leaves[position], 0, params.edge_fatigue)
+    eligible = [i for i in range(len(edges)) if i not in fatigued]
+    # 1e-17 is lost when added to the others' sum, so only u == 1.0 reaches it
+    want = eligible[-1] if u == 1.0 or weights[eligible[-1]] > 1e-3 else eligible[-2]
+    assert want == eligible[ranking._cumulative_pick([weights[i] for i in eligible], u)]
+    got = random_walk(g, source, 1, fatigue, params, StubDraws([u, 0.5]))
+    assert got == ([edges[want]], [leaves[want]], 1)
+
+
 # -- the clock with both fatigue windows 0 ----------------------------------------
 
 @pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])

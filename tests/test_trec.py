@@ -38,6 +38,23 @@ def test_write_run_to_text_buffer():
     assert buffer.getvalue() == "t Q0 d 1 0.123457 hgoe\n"
 
 
+@pytest.mark.parametrize("run, tag, message", [
+    ({"t": [("d", 0.5)]}, "my tag", "run tag 'my tag'"),
+    ({"t": [("d", 0.5)]}, "", "run tag ''"),
+    ({"t 1": [("d", 0.5)]}, "hgoe", "topic id 't 1'"),
+    ({"t": [("d", 0.5), ("doc\t2", 0.25)]}, "hgoe", "doc id 'doc\\t2'"),
+    ({"t": [("d", 0.5)], "": []}, "hgoe", "topic id ''"),
+    ({"t": [("d", 0.5)], "u": [("d\n", 0.5)]}, "hgoe", "doc id 'd\\n'"),
+])
+def test_write_run_rejects_fields_read_run_would_split(run, tag, message):
+    """Every field must be what line.split() gives back, and nothing is written otherwise."""
+    buffer = io.StringIO()
+    with pytest.raises(InputError) as err:
+        write_run(buffer, run, tag=tag)
+    assert message in str(err.value)
+    assert buffer.getvalue() == ""
+
+
 def test_read_run_orders_by_rank_column(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text(
