@@ -239,9 +239,9 @@ def _params(
 def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
     """Searches for the engines in `names` (both baselines if either is named).
 
-    k is checked here for every engine, and a corpus two engines share loads once.
+    A corpus two engines share loads once. The caller has checked k.
     """
-    k = _check_k(args.k)
+    k = args.k
     searches: dict[str, Search] = {}
     documents = None
     if "rws" in names:
@@ -273,25 +273,24 @@ def _search_topics(args: argparse.Namespace) -> list[tuple[str, str]]:
     if args.topics:
         return _read_topics(args.topics)
     if args.query:
+        trec.check_token("topic id", args.topic_id)
         return [(args.topic_id, args.query)]
     raise ConfigError("search needs --query or --topics")
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _check_k(args.k)
+    params = _params(args)
+    trec.check_token("run tag", args.tag)
     topics = _search_topics(args)
     search = _engines(args, [args.engine])[args.engine]
-    params = _params(args)
     total_ns = 0
     run: dict[str, list[tuple[str, float]]] = {}
     for topic_id, query in topics:
         started = time.perf_counter_ns()
         run[topic_id] = search(query, params).entries
         total_ns += time.perf_counter_ns() - started
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            trec.write_run(fh, run, args.tag)
-    else:
-        trec.write_run(sys.stdout, run, args.tag)
+    trec.write_run(args.out or sys.stdout, run, args.tag)
     print(f"time.search.total_ms={total_ns / 1e6:.3f}", file=sys.stderr)
     print(f"time.search.avg_ms={total_ns / len(topics) / 1e6:.3f}", file=sys.stderr)
     return 0
@@ -363,6 +362,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     variants = [Variant(v) for v in args.variants]
     nf_grid = _parse_grid(args.node_fatigue_grid, "node fatigue grid")
     ef_grid = _parse_grid(args.edge_fatigue_grid, "edge fatigue grid")
+    cells = [(nf, ef, _params(args, nf, ef)) for nf in nf_grid for ef in ef_grid]
     topics = _read_topics(args.topics)
     qrels = trec.read_qrels(args.qrels)
     documents, lexicon, embeddings = _inputs(args)
@@ -372,24 +372,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_label = f"p_at_{args.k}"
     for variant in variants:
         graph = index_corpus(documents, variant, lexicon, embeddings)
-        for node_fatigue in nf_grid:
-            for edge_fatigue in ef_grid:
-                params = _params(args, node_fatigue, edge_fatigue)
-                doc_run: dict[str, list[str]] = {}
-                total_steps = 0
-                total_ns = 0
-                for topic_id, query in topics:
-                    ranking, elapsed = run_timed(graph, query, params)
-                    doc_run[topic_id] = ranking.doc_ids()
-                    total_steps += ranking.total_steps
-                    total_ns += elapsed
-                result, _, mean_p = evaluation.evaluate_run(doc_run, qrels, args.k)
-                cell = {"variant": variant.value, "node_fatigue": node_fatigue,
-                        "edge_fatigue": edge_fatigue}
-                rows.append({**cell, "map": result.mean, p_label: mean_p,
-                             "total_steps": total_steps})
-                timing_rows.append({**cell, "avg_topic_ms": total_ns / len(topics) / 1e6,
-                                    "total_ms": total_ns / 1e6})
+        for node_fatigue, edge_fatigue, params in cells:
+            doc_run: dict[str, list[str]] = {}
+            total_steps = 0
+            total_ns = 0
+            for topic_id, query in topics:
+                ranking, elapsed = run_timed(graph, query, params)
+                doc_run[topic_id] = ranking.doc_ids()
+                total_steps += ranking.total_steps
+                total_ns += elapsed
+            result, _, mean_p = evaluation.evaluate_run(doc_run, qrels, args.k)
+            cell = {"variant": variant.value, "node_fatigue": node_fatigue,
+                    "edge_fatigue": edge_fatigue}
+            rows.append({**cell, "map": result.mean, p_label: mean_p,
+                         "total_steps": total_steps})
+            timing_rows.append({**cell, "avg_topic_ms": total_ns / len(topics) / 1e6,
+                                "total_ms": total_ns / 1e6})
     for row in rows:
         print("sweep" + "".join(f" {key}={_cell(value)}" for key, value in row.items()))
     for row in timing_rows:
@@ -447,12 +445,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError("system-mode compare needs --topics")
         if args.repetitions < 1:
             raise InputError("repetitions must be at least 1")
+        _check_k(args.k)
+        params_a = _params(args, args.node_fatigue_a, args.edge_fatigue_a)
+        params_b = _params(args, args.node_fatigue_b, args.edge_fatigue_b)
         topics = _read_topics(args.topics)
         searches = _engines(args, [args.engine_a, args.engine_b])
-        system_a = _system(searches[args.engine_a],
-                           _params(args, args.node_fatigue_a, args.edge_fatigue_a))
-        system_b = _system(searches[args.engine_b],
-                           _params(args, args.node_fatigue_b, args.edge_fatigue_b))
+        system_a = _system(searches[args.engine_a], params_a)
+        system_b = _system(searches[args.engine_b], params_b)
         repetitions = args.repetitions
     report = evaluation.repeated_comparison(
         system_a, system_b, topics, repetitions, base_seed=args.rng_seed

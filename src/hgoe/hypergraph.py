@@ -15,9 +15,10 @@ ContainedIn edges (`contained_in`), which seed mapping reads.
 
 Three walk tables are derived from the frozen graph and filled on first
 use, not at freeze: per node, the running sums of its out-edge weights
-(`out_weight_sums`) and the edges with few targets that can land on it
-(`target_edges`); per edge, one packed array of its target weights, their
-running sums and the totals of the other targets (`target_table`).
+(`out_weight_sums`) and the positions of its out-edges ordered by target
+count, with those counts (`out_edges_by_targets`); per edge, one packed
+array of its target weights, their running sums and the totals of the
+other targets (`target_table`).
 They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
@@ -62,7 +63,7 @@ from __future__ import annotations
 import gc
 import struct
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import accumulate, chain
@@ -160,8 +161,7 @@ class Hypergraph:
         # derived walk tables, filled on first use
         self._weight_sums: dict[int, array] = {}
         self.target_tables: dict[int, array] = {}  # see target_table
-        self._target_edges: dict[int, tuple[int, tuple[int, ...], array]] = {}
-        self._head_edges: dict[int, list[int]] | None = None
+        self._by_targets: dict[int, tuple[array, array]] = {}  # see out_edges_by_targets
 
     # -- construction -----------------------------------------------------
 
@@ -345,33 +345,21 @@ class Hypergraph:
             )
         return table
 
-    def target_edges(self, node_id: int, max_targets: int) -> tuple[int, ...]:
-        """Ids of the edges with at most max_targets targets that a step can land on node_id by.
+    def out_edges_by_targets(self, node_id: int) -> tuple[array, array]:
+        """Positions in out_edges(node_id) ordered by target count, and those counts.
 
-        These are undirected edges among out_edges(node_id) and directed
-        edges with node_id in their head, fewest targets first. A node's
-        list is filled on first use with the edges of up to 2 * max_targets
-        targets and refilled only when a caller asks for more, so each node
-        is scanned O(log max_targets) times and keeps only small edges. The
-        heads of all directed edges are gathered on the first call.
+        Filled on first use. The counts ascend, and equal counts keep
+        out-edge order, so the out-edges of at most m targets are at
+        positions[:bisect_right(counts, m)].
         """
-        found = self._target_edges.get(node_id)
-        if found is None or found[0] < max_targets:
-            if self._head_edges is None:
-                self._head_edges = {}
-                for edge in self.edges:
-                    for n in edge.head:
-                        self._head_edges.setdefault(n, []).append(edge.edge_id)
+        found = self._by_targets.get(node_id)
+        if found is None:
             edges = self.edges
-            covered = 2 * max_targets
-            ids = [e for e in self.out_edges(node_id)
-                   if not edges[e].tail and len(edges[e].members) <= covered]
-            ids += [e for e in self._head_edges.get(node_id, ()) if len(edges[e].head) <= covered]
-            ids.sort(key=lambda e: len(edges[e].targets))
-            counts = array("I", [len(edges[e].targets) for e in ids])
-            found = self._target_edges[node_id] = (covered, tuple(ids), counts)
-        _, ids, counts = found
-        return ids[:bisect_right(counts, max_targets)]
+            counts = [len(edges[e].targets) for e in self.out_edges(node_id)]
+            order = sorted(range(len(counts)), key=counts.__getitem__)
+            found = self._by_targets[node_id] = (
+                array("I", order), array("I", [counts[i] for i in order]))
+        return found
 
     # -- freezing ---------------------------------------------------------
 

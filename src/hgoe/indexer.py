@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InputError, InternalError
 from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant
-from .trec import open_text
+from .trec import check_token, open_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -64,6 +64,7 @@ def load_corpus(path: str) -> list[CorpusDocument]:
             links = record.get("links", [])
             if not isinstance(doc_id, str) or not doc_id:
                 raise FormatError(f"{path}:{lineno}: 'id' must be a non-empty string")
+            check_token("doc id", doc_id, f"{path}:{lineno}: ")
             if not isinstance(text, str):
                 raise FormatError(f"{path}:{lineno}: 'text' must be a string")
             if not isinstance(links, list) or any(not isinstance(x, str) for x in links):

@@ -16,22 +16,20 @@ t+1 .. t+delta. The clock advances only when some walker executes a step,
 so a walk that finds no eligible transition ends early without a tick.
 
 Cost of a step: an out-edge is ruled out only when it is fatigued or
-every target other than the source is fatigued, and the latter needs at
-most node_fatigue + 1 targets. The fatigue table keeps those small edges'
-fatigued-target counts as nodes enter and leave fatigue, so it always
-knows the edges whose targets are all fatigued (`FatigueTable.dead_edges`).
-Both variants bisect the current node's sorted out-edges for each fatigued
-edge and each dead edge, and, when the source itself is unfatigued, for
-its small edges whose other targets are all fatigued: O(log deg) per
-excluded candidate. A step picks k among the eligible out-edges and steps
-k over the excluded positions. Unweighted, it draws integers(count);
+every target other than the source is fatigued. With m nodes fatigued,
+the latter needs at most m + 1 targets, so a step reads only the current
+node's out-edges of that size, the first entries of its out-edges
+ordered by target count (`Hypergraph.out_edges_by_targets`), and stops
+at each one's first unfatigued target other than the source. Both
+variants bisect the current node's sorted out-edges for each fatigued
+edge, O(log deg) each. A step picks k among the eligible out-edges and
+steps k over the excluded positions. Unweighted, it draws integers(count);
 weighted, it bisects the running sums of the out-edge weights
 (`Hypergraph.out_weight_sums`) when nothing is excluded, and otherwise
 lists the other out-edges' weights, O(deg).
-Each tick of the clock costs O(1) amortised to expire old entries, plus
-one pass over the small edges (`Hypergraph.target_edges`) of the node that
-enters fatigue and of the one that leaves it. With both windows 0 and the
-table empty, a step only ticks the clock: nothing can expire or enter.
+Each tick of the clock costs O(1) amortised to expire old entries. With
+both windows 0 and the table empty, a step only ticks the clock: nothing
+can expire or enter.
 With no node fatigued, a weighted step reads the edge's target table
 (`Hypergraph.target_table`): the target weights, their running sums and
 a memo of the other targets' total per source position. When the source,
@@ -119,7 +117,7 @@ class Ranking:
 
 
 class FatigueTable:
-    """The fatigue clock, the elements it blocks, and the small edges they kill.
+    """The fatigue clock and the elements it blocks.
 
     `nodes` and `edges` map each fatigued element to the clock value at
     which its window ends: fatigued at clock t with window delta, it stays
@@ -129,15 +127,8 @@ class FatigueTable:
     inside its window gets a later expiry, so its older deque entry finds
     a different value and leaves it. Each deque stays in expiry order as
     long as every call of one table passes the same windows, as the walks
-    of one ranking do.
-
-    The first `random_walk` binds the table to its graph and node_fatigue.
-    Then, for every edge of at most node_fatigue + 1 targets,
-    `fatigued_targets` counts its fatigued targets (no zero entries), and
-    `dead_edges` holds the edges whose targets are all fatigued. Only
-    these edges can lose every target to node fatigue, since at most
-    node_fatigue nodes are fatigued at once. A node entering or leaving
-    fatigue updates the counts of its edges (`Hypergraph.target_edges`).
+    of one ranking do. Each step reads `nodes` and `edges` to rule out
+    out-edges (`_excluded_positions`).
 
     `dead_ends` holds the nodes a walk found no eligible transition from
     since the clock last ticked; nothing else changes the table, so they
@@ -147,34 +138,15 @@ class FatigueTable:
     out-edges at all, so `dead_ends` stays as it is.
     """
 
-    __slots__ = (
-        "nodes", "edges", "clock", "dead_ends", "fatigued_targets", "dead_edges",
-        "graph", "node_fatigue", "_node_expiries", "_edge_expiries",
-    )
+    __slots__ = ("nodes", "edges", "clock", "dead_ends", "_node_expiries", "_edge_expiries")
 
     def __init__(self):
         self.nodes: dict[int, int] = {}
         self.edges: dict[int, int] = {}
         self.clock = 0
         self.dead_ends: set[int] = set()
-        self.fatigued_targets: dict[int, int] = {}
-        self.dead_edges: set[int] = set()
-        self.graph: Hypergraph | None = None
-        self.node_fatigue = 0
         self._node_expiries: deque[tuple[int, int]] = deque()
         self._edge_expiries: deque[tuple[int, int]] = deque()
-
-    def bind(self, graph: Hypergraph, node_fatigue: int) -> None:
-        """Count fatigued targets on graph's small edges from now on, the nodes fatigued so far first.
-
-        A table serves one graph and one node_fatigue; another raises InternalError.
-        """
-        if self.graph is None:
-            self.graph, self.node_fatigue = graph, node_fatigue
-            for node in self.nodes:
-                self._enter(node)
-        elif self.graph is not graph or self.node_fatigue != node_fatigue:
-            raise InternalError("a fatigue table serves one graph and one node_fatigue")
 
     def advance(self, edge_id: int, target_id: int, node_fatigue: int, edge_fatigue: int) -> None:
         """Tick the clock for one executed step, then fatigue its elements.
@@ -190,39 +162,17 @@ class FatigueTable:
             expiry, node = expiries.popleft()
             if nodes.get(node) == expiry:
                 del nodes[node]
-                if self.graph is not None:
-                    self._leave(node)
         edges, expiries = self.edges, self._edge_expiries
         while expiries and expiries[0][0] <= clock:
             expiry, edge = expiries.popleft()
             if edges.get(edge) == expiry:
                 del edges[edge]
         if node_fatigue > 0:
-            if target_id not in nodes and self.graph is not None:
-                self._enter(target_id)
             nodes[target_id] = expiry = clock + node_fatigue
             self._node_expiries.append((expiry, target_id))
         if edge_fatigue > 0:
             edges[edge_id] = expiry = clock + edge_fatigue
             self._edge_expiries.append((expiry, edge_id))
-
-    def _enter(self, node: int) -> None:
-        """Count node, just fatigued, on its small edges; an edge whose count reaches its size dies."""
-        edges = self.graph.edges
-        counts = self.fatigued_targets
-        for edge_id in self.graph.target_edges(node, self.node_fatigue + 1):
-            count = counts[edge_id] = counts.get(edge_id, 0) + 1
-            if count == len(edges[edge_id].targets):
-                self.dead_edges.add(edge_id)
-
-    def _leave(self, node: int) -> None:
-        """Uncount node, no longer fatigued, on its small edges, dropping counts that reach 0."""
-        counts = self.fatigued_targets
-        for edge_id in self.graph.target_edges(node, self.node_fatigue + 1):
-            count = counts.pop(edge_id) - 1
-            if count:
-                counts[edge_id] = count
-            self.dead_edges.discard(edge_id)
 
 
 def query_stream_key(query: str) -> int:
@@ -330,7 +280,6 @@ def random_walk(
     # zero-window tick, after which it holds only nodes without out-edges
     if start in fatigue.dead_ends:
         return [], [], 0
-    fatigue.bind(graph, params.node_fatigue)
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     nodes = graph.nodes
@@ -442,25 +391,26 @@ def _excluded_positions(
 
     The one statement of the edge rule; unweighted and weighted steps both
     use it. An out-edge is ruled out when it is fatigued, or when every
-    target other than source is fatigued: all of its targets are (a dead
-    edge), or source is an unfatigued target and all the others are, which
-    needs at most node_fatigue + 1 targets.
+    target other than source is fatigued. With m nodes fatigued, only an
+    out-edge of at most m + 1 targets can lose all of them, and those are
+    the first entries of `Hypergraph.out_edges_by_targets`.
     """
-    candidates = fatigue.edges.keys() | fatigue.dead_edges
-    fatigued = fatigue.nodes
-    if fatigued and source not in fatigued:
-        edges = graph.edges
-        counts = fatigue.fatigued_targets
-        for edge_id in graph.target_edges(source, fatigue.node_fatigue + 1):
-            if counts.get(edge_id, 0) == len(edges[edge_id].targets) - 1:
-                candidates.add(edge_id)
-    positions = []
-    for edge_id in candidates:
+    excluded = set()
+    for edge_id in fatigue.edges:
         i = bisect_left(out, edge_id)
         if i < len(out) and out[i] == edge_id:
-            positions.append(i)
-    positions.sort()
-    return positions
+            excluded.add(i)
+    fatigued = fatigue.nodes
+    if fatigued:
+        edges = graph.edges
+        positions, counts = graph.out_edges_by_targets(source)
+        for i in positions[:bisect_right(counts, len(fatigued) + 1)]:
+            for target in edges[out[i]].targets:
+                if target != source and target not in fatigued:
+                    break
+            else:
+                excluded.add(i)
+    return sorted(excluded)
 
 
 def _cumulative_pick(weights: Sequence[float], u: float) -> int:

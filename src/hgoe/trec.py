@@ -6,7 +6,7 @@ two-column tab-separated "topicId<TAB>query" file.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Sequence, TextIO
 
 from .errors import FormatError, InputError
@@ -32,20 +32,34 @@ def format_run_lines(
     ]
 
 
-def write_run(out: TextIO, run: dict[str, Sequence[tuple[str, float]]], tag: str = "hgoe") -> None:
-    """Write run lines for every topic, in the order of `run`.
+def check_token(kind: str, value: str, where: str = "") -> None:
+    """Raise InputError unless value is one whitespace-free token, as read_run splits a line.
+
+    `kind` names the value in the message and `where` ("path:line: ") places it.
+    """
+    if value.split() != [value]:
+        raise InputError(f"{where}a run file cannot hold {kind} {value!r}: it is not one token")
+
+
+def write_run(
+    out: TextIO | str, run: dict[str, Sequence[tuple[str, float]]], tag: str = "hgoe"
+) -> None:
+    """Write run lines for every topic, in the order of `run`, to a stream or a file path.
 
     read_run splits lines on whitespace, so unless the tag and every id are
-    one whitespace-free token, InputError is raised before any line is written.
+    one whitespace-free token, InputError is raised before any line is
+    written and before a path is opened: a file already there is kept.
+    The readers reject such ids, but an index saved before they did can
+    still hold a doc id with whitespace.
     """
     fields = [("run tag", tag), *(("topic id", topic_id) for topic_id in run)]
     fields += (("doc id", doc_id) for entries in run.values() for doc_id, _ in entries)
     for kind, value in fields:
-        if value.split() != [value]:
-            raise InputError(f"a run file cannot hold {kind} {value!r}: it is not one token")
-    for topic_id in run:
-        for line in format_run_lines(topic_id, run[topic_id], tag):
-            out.write(line + "\n")
+        check_token(kind, value)
+    with open(out, "w", encoding="utf-8") if isinstance(out, str) else nullcontext(out) as fh:
+        for topic_id in run:
+            for line in format_run_lines(topic_id, run[topic_id], tag):
+                fh.write(line + "\n")
 
 
 def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
@@ -115,6 +129,7 @@ def read_topics(path: str) -> list[tuple[str, str]]:
             topic_id, query = line.split("\t", 1)
             if not topic_id or not query.strip():
                 raise FormatError(f"{path}:{lineno}: empty topic id or query")
+            check_token("topic id", topic_id, f"{path}:{lineno}: ")
             if topic_id in seen:
                 raise InputError(f"{path}:{lineno}: duplicate topic id {topic_id!r}")
             seen.add(topic_id)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from hgoe import Hypergraph, cli
+from hgoe import CorpusDocument, Hypergraph, Variant, cli, index_corpus
 from hgoe.trec import read_run
 
 CORPUS = "\n".join([
@@ -217,27 +217,51 @@ def test_search_input_validation(workspace, capsys):
     capsys.readouterr()
 
 
-def test_search_writes_no_run_file_its_own_evaluate_cannot_read(workspace, capsys):
-    """The corpus and topics readers accept ids with spaces; a run line cannot hold them."""
-    corpus = workspace / "spaced.jsonl"
-    corpus.write_text(
-        '{"id": "doc 1", "text": "solar panels power the grid", "links": []}\n'
-        '{"id": "d2", "text": "solar cells charge batteries", "links": []}\n',
-        encoding="utf-8",
+def test_search_writes_no_run_file_its_own_evaluate_cannot_read(workspace, capsys, monkeypatch):
+    """An id or a tag a run line cannot hold is an error, and an earlier --out file stays.
+
+    The readers and the tag check reject such values before any walk; an
+    index saved before the corpus reader checked doc ids can still hold one,
+    and the run is rejected before --out is opened.
+    """
+    spaced_corpus = workspace / "spaced.jsonl"
+    spaced_corpus.write_text(
+        '{"id": "doc 1", "text": "solar panels power the grid", "links": []}\n', encoding="utf-8"
     )
-    topics = workspace / "spaced.tsv"
+    spaced_topics = workspace / "spaced.tsv"
+    spaced_topics.write_text("q1\tsolar\nq 2\tsolar\n", encoding="utf-8")
+    old_index = workspace / "old.hgoe"
+    documents = [CorpusDocument("doc 1", "solar panels", ()), CorpusDocument("d2", "solar cells", ())]
+    index_corpus(documents, Variant.BASE).save(str(old_index))
+    corpus, topics = str(workspace / "corpus.jsonl"), str(workspace / "topics.tsv")
     run = workspace / "run.txt"
-    for topic_id, bad in (("q 1", "topic id 'q 1'"), ("q1", "doc id 'doc 1'")):
-        topics.write_text(f"{topic_id}\tsolar\n", encoding="utf-8")
-        code = cli.main([
-            "search", "--corpus", str(corpus), "--topics", str(topics),
-            "--repeats", "50", "--out", str(run),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: a run file cannot hold {bad}: it is not one token\n"
-        )
-        assert run.read_text(encoding="utf-8") == ""
+    run.write_text("an earlier run\n", encoding="utf-8")
+    walked = []
+    rws = cli.rws
+    monkeypatch.setattr(cli, "rws", lambda *args: walked.append(args) or rws(*args))
+    cases = [
+        (["--corpus", str(spaced_corpus), "--topics", topics],
+         f"{spaced_corpus}:1: a run file cannot hold doc id 'doc 1'"),
+        (["--corpus", corpus, "--topics", str(spaced_topics)],
+         f"{spaced_topics}:2: a run file cannot hold topic id 'q 2'"),
+        (["--corpus", corpus, "--query", "solar", "--topic-id", "q 1"],
+         "a run file cannot hold topic id 'q 1'"),
+        (["--corpus", corpus, "--topics", topics, "--tag", "my run"],
+         "a run file cannot hold run tag 'my run'"),
+    ]
+    for flags, bad in cases:
+        assert cli.main(["search", *flags, "--repeats", "50", "--out", str(run)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: it is not one token\n"
+        assert run.read_text(encoding="utf-8") == "an earlier run\n"
+    assert not walked
+    code = cli.main(["search", "--index", str(old_index), "--topics", topics,
+                     "--repeats", "50", "--out", str(run)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: a run file cannot hold doc id 'doc 1': it is not one token\n"
+    )
+    assert walked
+    assert run.read_text(encoding="utf-8") == "an earlier run\n"
 
 
 def test_search_rejects_corrupt_index(workspace, capsys):

@@ -135,3 +135,31 @@ def test_compare_rejects_k_below_1_for_every_engine(workspace, capsys, engine_b)
         "--engine-a", "rws", "--engine-b", engine_b, "--repeats", "10", "--k", "0",
     ]) == 2
     assert "k must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_checks_walk_flags_before_reading_inputs(workspace, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep read its inputs before checking the walk flags")
+
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+    monkeypatch.setattr(cli, "index_corpus", refuse)
+    assert cli.main([
+        "sweep", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "topics.tsv"), "--qrels", str(workspace / "qrels.txt"),
+        "--length", "0", "--variants", "weighted",
+    ]) == 2
+    assert capsys.readouterr().err == "error: walk_length must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["search", "compare"])
+def test_flags_are_checked_before_any_file_is_read(workspace, capsys, command):
+    missing = str(workspace / "missing")
+    argv = {
+        "search": ["search", "--index", missing, "--topics", missing],
+        "compare": ["compare", "--index", missing, "--topics", missing,
+                    "--engine-a", "rws", "--engine-b", "rws"],
+    }[command]
+    assert cli.main([*argv, "--repeats", "0"]) == 2
+    assert capsys.readouterr().err == "error: repeats must be at least 1\n"
+    assert cli.main([*argv, "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: k must be at least 1\n"

@@ -291,23 +291,31 @@ def test_transitions_respect_exclusions():
         g.out_edges(42)
 
 
-def test_target_edges_lists_small_edges_fewest_targets_first():
+def test_out_edges_by_targets_orders_out_edge_positions_by_target_count():
     g, a, b, c, e = small_graph()
     f = g.upsert_node(NodeKind.ENTITY, "other")
     h = g.upsert_node(NodeKind.ENTITY, "third")
-    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e])
     doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c, e, f, h], doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e, f, h])
+    synonym = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    short = g.add_edge(EdgeKind.DOCUMENT, members=[a, c], doc_id="d2")
     pair = g.add_edge(EdgeKind.RELATED_TO, members=[e, f])
     triple = g.add_edge(EdgeKind.RELATED_TO, members=[e, f, h])
     g.freeze()
-    # each call asks for more targets than the one before it
-    assert g.target_edges(e, 1) == (contained,)
-    assert g.target_edges(e, 3) == (contained, pair, triple)
-    assert g.target_edges(e, 5) == (contained, pair, triple)
-    assert g.target_edges(e, 6) == (contained, pair, triple, doc)
-    assert g.target_edges(e, 1) == (contained,)
-    # a tail node is not a target of its directed edge
-    assert g.target_edges(a, 10) == (doc,)
+    assert g.out_edges(a) == (doc, contained, synonym, short)
+    positions, counts = g.out_edges_by_targets(a)
+    assert positions.typecode == counts.typecode == "I"
+    # ascending counts, equal counts in out-edge order; the ContainedIn edge
+    # counts its three head entities, not its tail
+    assert list(positions) == [2, 3, 1, 0]
+    assert list(counts) == [2, 2, 3, 6]
+    assert g.out_edges_by_targets(a) is g.out_edges_by_targets(a)
+    # e is only in the head of the ContainedIn edge, so no step leaves e by it
+    assert g.out_edges(e) == (doc, pair, triple)
+    positions, counts = g.out_edges_by_targets(e)
+    assert [g.out_edges(e)[i] for i in positions] == [pair, triple, doc]
+    assert list(counts) == [2, 3, 6]
+    assert contained not in g.out_edges(e)
 
 
 def test_target_weights_follow_the_targets_and_wait_for_freeze():

@@ -421,7 +421,9 @@ def list_filter_walk(graph, start, length, fatigue, params, rng, exclusions):
 
 
 @pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
-@pytest.mark.parametrize("node_fatigue, edge_fatigue", [(0, 0), (0, 3), (2, 3), (10, 10), (40, 0)])
+@pytest.mark.parametrize(
+    "node_fatigue, edge_fatigue", [(0, 0), (0, 3), (1, 0), (2, 3), (10, 10), (40, 0)]
+)
 def test_hub_steps_match_the_list_filter_rule(variant, node_fatigue, edge_fatigue):
     graph, hub = hub_graph(variant)
     assert len(graph.out_edges(hub)) >= 500
@@ -464,22 +466,6 @@ class CountdownTable:
             self.edges[edge_id] = edge_fatigue
 
 
-def recount(graph, fatigued_nodes, node_fatigue):
-    """Fatigued targets per edge of at most node_fatigue + 1 targets, and the all-fatigued edges.
-
-    Only edges a step can take count: a one-member Document edge is no
-    node's out-edge.
-    """
-    counts = {}
-    for edge in graph.edges:
-        if (edge.tail or len(edge.members) > 1) and len(edge.targets) <= node_fatigue + 1:
-            count = sum(t in fatigued_nodes for t in edge.targets)
-            if count:
-                counts[edge.edge_id] = count
-    dead = {e for e, count in counts.items() if count == len(graph.edges[e].targets)}
-    return counts, dead
-
-
 WINDOWS = [0, 1, 2, 3, 10]
 
 
@@ -490,12 +476,8 @@ def test_expiry_clock_matches_the_countdown_table(node_fatigue, edge_fatigue):
     for _ in range(4):
         graph, _ = graphgen.random_graph(rng)
         table, oracle = FatigueTable(), CountdownTable()
-        # the table may be advanced before a walk binds it to the graph
-        bind_at = int(rng.integers(0, 6))
         recent: list[tuple[int, int]] = []
         for tick in range(150):
-            if tick == bind_at:
-                table.bind(graph, node_fatigue)
             if recent and rng.random() < 0.5:
                 # reuse a recent pair, often still inside its window
                 edge_id, node_id = recent[int(rng.integers(len(recent)))]
@@ -508,10 +490,6 @@ def test_expiry_clock_matches_the_countdown_table(node_fatigue, edge_fatigue):
             assert table.clock == tick + 1
             assert table.nodes.keys() == oracle.nodes.keys()
             assert table.edges.keys() == oracle.edges.keys()
-            if tick >= bind_at:
-                counts, dead = recount(graph, table.nodes, node_fatigue)
-                assert table.fatigued_targets == counts
-                assert table.dead_edges == dead
 
 
 def test_fatigue_table_memory_stays_bounded(monkeypatch):
@@ -525,20 +503,11 @@ def test_fatigue_table_memory_stays_bounded(monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(ranking, "FatigueTable", Recorded)
-    # no node has more small edges than this, and at most 10 nodes are fatigued
-    cap = params["node_fatigue"] * max(
-        len(graph.target_edges(node.node_id, params["node_fatigue"] + 1)) for node in graph.nodes
-    )
-    peaks = {}
     for repeats in (200, 2000):
-        peak = 0
 
         def check(clock, edge_id, target):
-            nonlocal peak
             table = tables[-1]
-            counts = table.fatigued_targets
-            assert 0 not in counts.values()
-            peak = max(peak, len(counts))
+            assert not table.dead_ends  # a tick clears them
             for window, entries, live in (
                 (params["node_fatigue"], table._node_expiries, table.nodes),
                 (params["edge_fatigue"], table._edge_expiries, table.edges),
@@ -549,24 +518,6 @@ def test_fatigue_table_memory_stays_bounded(monkeypatch):
         result = rws(graph, "leaf000", RankingParams(repeats=repeats, **params), check)
         assert result.total_steps > repeats
         assert len(tables) == 1 + (repeats == 2000)
-        peaks[repeats] = peak
-    # ten times the walks, about the same peak: nothing piles up across walks
-    assert 0 < peaks[200] <= cap and 0 < peaks[2000] <= cap
-    assert peaks[2000] < 1.1 * peaks[200]
-
-
-def test_a_fatigue_table_serves_one_graph_and_one_node_fatigue():
-    graph, a, b, e = line_graph()
-    other, *_ = line_graph()
-    fatigue = FatigueTable()
-    random_walk(graph, a, 1, fatigue, RankingParams(node_fatigue=2), make_stream(0, "x"))
-    # the edge window may change: the table counts only node fatigue
-    random_walk(graph, b, 1, fatigue, RankingParams(node_fatigue=2, edge_fatigue=1),
-                make_stream(0, "x"))
-    with pytest.raises(InternalError, match="one graph"):
-        random_walk(other, a, 1, fatigue, RankingParams(node_fatigue=2), make_stream(0, "x"))
-    with pytest.raises(InternalError, match="one node_fatigue"):
-        random_walk(graph, a, 1, fatigue, RankingParams(node_fatigue=3), make_stream(0, "x"))
 
 
 # -- draws read in blocks -------------------------------------------------------
