@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -189,6 +190,13 @@ def _check_k(k: int) -> int:
     return k
 
 
+def _check_out(flag: str, path: str | None) -> None:
+    """Reject an output path whose directory is missing; opens, creates and truncates nothing."""
+    parent = os.path.dirname(path or "") or "."
+    if path and not os.path.isdir(parent):
+        raise ConfigError(f"{flag}: no such directory: {parent}")
+
+
 def _read_topics(path: str) -> list[tuple[str, str]]:
     topics = trec.read_topics(path)
     if not topics:
@@ -204,6 +212,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         raise ConfigError("index needs --corpus")
     if not args.out:
         raise ConfigError("index needs --out")
+    _check_out("--out", args.out)
     variant = Variant(args.variant)
     started = time.perf_counter_ns()
     documents, lexicon, embeddings = _inputs(args)
@@ -282,6 +291,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     _check_k(args.k)
     params = _params(args)
     trec.check_token("run tag", args.tag)
+    _check_out("--out", args.out)
     topics = _search_topics(args)
     search = _engines(args, [args.engine])[args.engine]
     total_ns = 0
@@ -299,6 +309,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_out("--json", args.json_out)
     run = trec.read_run(args.run)
     qrels = trec.read_qrels(args.qrels)
     doc_run = {topic: [doc for doc, _ in entries] for topic, entries in run.items()}
@@ -363,6 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     nf_grid = _parse_grid(args.node_fatigue_grid, "node fatigue grid")
     ef_grid = _parse_grid(args.edge_fatigue_grid, "edge fatigue grid")
     cells = [(nf, ef, _params(args, nf, ef)) for nf in nf_grid for ef in ef_grid]
+    _check_out("--out", args.out and f"{args.out}/sweep.csv")
     topics = _read_topics(args.topics)
     qrels = trec.read_qrels(args.qrels)
     documents, lexicon, embeddings = _inputs(args)
@@ -426,6 +438,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     system_mode = bool(args.engine_a or args.engine_b)
     if run_mode == system_mode:
         raise ConfigError("compare needs either --run-a/--run-b or --engine-a/--engine-b")
+    _check_out("--json", args.json_out)
     if run_mode:
         if not (args.run_a and args.run_b):
             raise ConfigError("compare needs both --run-a and --run-b")

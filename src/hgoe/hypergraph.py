@@ -23,12 +23,12 @@ They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
 
-Binary index format (version 3, little-endian). A header is followed by
-sixteen array sections, each a u32 byte length and then its items; node and
+Binary index format (version 4, little-endian). A header is followed by
+fourteen array sections, each a u32 byte length and then its items; node and
 edge ids are positions in the node and edge sections:
 
     offset 0: magic bytes "HGOE"
-    u32 format version (= 3)
+    u32 format version (= 4)
     u8  variant code (0 = base, 1 = syns-context, 2 = weighted)
     u32 node count, u32 edge count, u32 document count
     node kinds          u8 per node
@@ -45,8 +45,6 @@ edge ids are positions in the node and edge sections:
     members             u32 node ids
     head ends           u32 per directed edge
     heads               u32 node ids
-    similarity ends     u32 per edge
-    similarities        f64 Context similarities
 
 An edge's kind decides whether it is directed (`_KIND_RULES`) and whether
 it has a doc id (Document edges only), so neither is stored. Loading checks each section whole
@@ -64,7 +62,7 @@ import gc
 import struct
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import accumulate, chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -74,7 +72,7 @@ import numpy as np
 from .errors import FormatError, InputError, InvariantError
 
 FORMAT_MAGIC = b"HGOE"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class NodeKind(IntEnum):
@@ -119,7 +117,6 @@ class Hyperedge:
     head: tuple[int, ...] = ()
     doc_id: str | None = None
     weight: float | None = None
-    context_sims: list[float] = field(default_factory=list)
 
     @property
     def directed(self) -> bool:
@@ -399,6 +396,8 @@ class Hypergraph:
             out_edges[node_id] = tuple(ids)
         self._out_edges = out_edges
         self._contained_in = {n: tuple(heads) for n, heads in contained_in.items()}
+        # Only add_edge, which a frozen graph refuses, reads the edge keys now.
+        self._edge_index = {}
         self._frozen = True
         return self
 
@@ -406,21 +405,8 @@ class Hypergraph:
 
     def structurally_equal(self, other: "Hypergraph") -> bool:
         """True when the variant and every node and edge record, weights included, match."""
-        if self.variant is not other.variant:
-            return False
-        if len(self.nodes) != len(other.nodes) or len(self.edges) != len(other.edges):
-            return False
-        for a, b in zip(self.nodes, other.nodes):
-            if (a.node_id, a.kind, a.label, a.weight) != (b.node_id, b.kind, b.label, b.weight):
-                return False
-        for a, b in zip(self.edges, other.edges):
-            if (a.edge_id, a.kind, a.members, a.tail, a.head, a.doc_id, a.weight) != (
-                b.edge_id, b.kind, b.members, b.tail, b.head, b.doc_id, b.weight,
-            ):
-                return False
-            if a.context_sims != b.context_sims:
-                return False
-        return True
+        return (self.variant is other.variant and self.nodes == other.nodes
+                and self.edges == other.edges)
 
     # -- persistence ------------------------------------------------------
 
@@ -445,8 +431,6 @@ class Hypergraph:
             _u32(chain.from_iterable(edge.tail or edge.members for edge in edges)),
             _ends(edge.head for edge in directed),
             _u32(chain.from_iterable(edge.head for edge in directed)),
-            _ends(edge.context_sims for edge in edges),
-            _f64(chain.from_iterable(edge.context_sims for edge in edges)),
         )
         out = bytearray(_HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, _VARIANT_CODES[self.variant],
                                      len(nodes), len(edges), self.doc_count))
@@ -583,9 +567,6 @@ def _read_index(data: bytes) -> Hypergraph:
     head_counts = _spans(head_ends, 1)
     heads = section("heads", "<u4", _total(head_ends))
     _check_ids(heads, head_counts, kinds[directed], _HEAD_KINDS, node_kinds.items)
-    sim_ends = section("similarity ends", "<u4", edge_count)
-    _spans(sim_ends, 0)
-    sims = section("similarities", "<f8", _total(sim_ends))
     if offset != len(data):
         raise FormatError(f"trailing data at offset {offset}")
 
@@ -611,11 +592,9 @@ def _read_index(data: bytes) -> Hypergraph:
     member_stops = member_ends.items.tolist()
     head_stops = head_ends.items.tolist()
     head_spans = zip([0, *head_stops], head_stops)
-    sim_stops = sim_ends.items.tolist()
-    member_ids, head_ids, sim_values = members.items, heads.items, sims.items
-    for edge_id, (kind, flag, start, end, sim_start, sim_end) in enumerate(zip(
-            kinds.tolist(), edge_flags.items.tolist(), [0, *member_stops], member_stops,
-            [0, *sim_stops], sim_stops)):
+    member_ids, head_ids = members.items, heads.items
+    for edge_id, (kind, flag, start, end) in enumerate(zip(
+            kinds.tolist(), edge_flags.items.tolist(), [0, *member_stops], member_stops)):
         first = tuple(map(node_id, member_ids[start:end].tolist()))
         if is_directed[kind]:
             head_start, head_end = next(head_spans)
@@ -627,7 +606,6 @@ def _read_index(data: bytes) -> Hypergraph:
             edge_id, _EDGE_KINDS[kind], undirected, tail, head,
             next(doc_id) if kind == EdgeKind.DOCUMENT else None,
             next(edge_weight) if flag else None,
-            sim_values[sim_start:sim_end].tolist() if sim_end > sim_start else [],
         ))
     graph._doc_edges = {edge.doc_id: edge.edge_id
                         for edge in graph.edges if edge.doc_id is not None}

@@ -194,9 +194,9 @@ def index_corpus(
             graph.add_edge(EdgeKind.RELATED_TO, members=entity_ids)
     if variant is not Variant.BASE:
         extend_synonyms(graph, lexicon)
-        extend_context(graph, embeddings)
-    if variant is Variant.WEIGHTED:
-        compute_weights(graph)
+        context_sims = extend_context(graph, embeddings)
+        if variant is Variant.WEIGHTED:
+            compute_weights(graph, context_sims)
     return graph.freeze()
 
 
@@ -220,7 +220,9 @@ def extend_synonyms(graph: Hypergraph, lexicon: Iterable[Sequence[str]]) -> int:
     return added
 
 
-def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> int:
+def extend_context(
+    graph: Hypergraph, embeddings: Mapping[str, np.ndarray]
+) -> dict[int, list[float]]:
     """Add Context edges linking each embedded term to its nearest neighbours.
 
     Neighbour search is exact brute force over the embedded part of the
@@ -229,15 +231,15 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     on the label. The similarities are computed into one reused block of
     at most SIMILARITY_BLOCK_BYTES, as many rows at a time as fit (all of
     them up to 1,024 terms), and each term's neighbours are selected from
-    its row by repeated argmax, so the candidates are never sorted. The
-    similarity of every recorded (term, neighbour) pair is stored on the
-    edge for later weighting. Returns the number of Context edges added.
+    its row by repeated argmax, so the candidates are never sorted. Returns
+    each Context edge id's similarities, capped at 1.0, one per (term,
+    neighbour) pair recorded for it in term order; the graph keeps none.
 
-    The stored similarities come from a BLAS matrix product, whose last bits
+    The similarities come from a BLAS matrix product, whose last bits
     depend on the whole call: the BLAS build, the CPU, the thread count and
-    the block's shape. The neighbours picked move only on a near-tie, but an
-    index is reproducible byte for byte only under the same numpy and BLAS
-    build, CPU and thread count.
+    the block's shape. The neighbours picked move only on a near-tie, but
+    the Context weights, and so a weighted index, are reproducible byte for
+    byte only under the same numpy and BLAS build, CPU and thread count.
     """
     vocab = sorted(
         node.label
@@ -245,7 +247,7 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
         if node.kind is NodeKind.TERM and node.label in embeddings
     )
     if len(vocab) < 2:
-        return 0
+        return {}
     matrix = np.stack([np.asarray(embeddings[label], dtype=np.float64) for label in vocab])
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
@@ -263,12 +265,11 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
     matrix = matrix / norms[:, None]
     term_ids = [graph.node_id(NodeKind.TERM, label) for label in vocab]
     n = len(vocab)
-    # The block shape is part of the index bytes: BLAS rounds the product
-    # differently with the block's row count (and with its thread count), so
-    # another budget moves the last bits of some stored similarities.
+    # BLAS rounds the product differently with the block's row count (and its
+    # thread count), so another budget moves the last bits of a weighted index.
     chunk = max(1, min(n, SIMILARITY_BLOCK_BYTES // (8 * n)))
     block = np.empty((chunk, n))
-    added = 0
+    context_sims: dict[int, list[float]] = {}
     for start in range(0, n, chunk):
         sims = np.matmul(matrix[start : start + chunk], matrix.T, out=block[: n - start])
         rows = np.arange(len(sims))
@@ -285,14 +286,12 @@ def extend_context(graph: Hypergraph, embeddings: Mapping[str, np.ndarray]) -> i
             if not chosen:
                 continue
             members = [term_ids[start + row], *(term_ids[j] for j, _ in chosen)]
-            before = len(graph.edges)
             edge_id = graph.add_edge(EdgeKind.CONTEXT, members=members)
-            added += len(graph.edges) - before
-            graph.edges[edge_id].context_sims.extend(min(sim, 1.0) for _, sim in chosen)
-    return added
+            context_sims.setdefault(edge_id, []).extend(min(sim, 1.0) for _, sim in chosen)
+    return context_sims
 
 
-def compute_weights(graph: Hypergraph) -> None:
+def compute_weights(graph: Hypergraph, context_sims: Mapping[int, Sequence[float]]) -> None:
     """Assign node and edge weights in place; all weights land in (0, 1].
 
     Node weight is the logistic function of the inverse document frequency,
@@ -300,8 +299,8 @@ def compute_weights(graph: Hypergraph) -> None:
     number of Document edges holding the node. Nodes in no Document edge
     (synonym-added vocabulary, entity name terms) take the df -> 0 limit of 1.0.
     Edge weights: Document 0.5, ContainedIn 1/|tail|, Synonym 1/|members|,
-    Context the mean recorded similarity, RelatedTo the mean over member
-    entities of the fraction of all other entities they co-occur with.
+    Context the mean of its `context_sims` entry, RelatedTo the mean over
+    member entities of the fraction of all other entities they co-occur with.
     """
     df = [0] * len(graph.nodes)
     for edge in graph.edges:
@@ -328,9 +327,10 @@ def compute_weights(graph: Hypergraph) -> None:
         elif edge.kind is EdgeKind.SYNONYM:
             edge.weight = 1.0 / len(edge.members)
         elif edge.kind is EdgeKind.CONTEXT:
-            if not edge.context_sims:
+            sims = context_sims.get(edge.edge_id)
+            if not sims:
                 raise InternalError(f"context edge {edge.edge_id} has no recorded similarities")
-            edge.weight = min(math.fsum(edge.context_sims) / len(edge.context_sims), 1.0)
+            edge.weight = min(math.fsum(sims) / len(sims), 1.0)
         elif edge.kind is EdgeKind.RELATED_TO:
             if entity_total < 2:
                 raise InternalError("RelatedTo edge in a graph with fewer than two entities")

@@ -275,12 +275,12 @@ def test_search_names_a_stale_index_and_how_to_rebuild_it(workspace, capsys):
     index = workspace / "old.hgoe"
     assert cli.main(["index", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(index)]) == 0
     data = bytearray(index.read_bytes())
-    data[4:8] = (2).to_bytes(4, "little")  # an index from before format version 3
+    data[4:8] = (3).to_bytes(4, "little")  # an index from before format version 4
     index.write_bytes(bytes(data))
     capsys.readouterr()
     assert cli.main(["search", "--index", str(index), "--query", "solar"]) == 2
     assert capsys.readouterr().err == (
-        f"error: {index}: unsupported format version 2 at offset 4; "
+        f"error: {index}: unsupported format version 3 at offset 4; "
         "it predates this hgoe, rebuild it with `hgoe index`\n"
     )
 

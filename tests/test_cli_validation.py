@@ -163,3 +163,36 @@ def test_flags_are_checked_before_any_file_is_read(workspace, capsys, command):
     assert capsys.readouterr().err == "error: repeats must be at least 1\n"
     assert cli.main([*argv, "--k", "0"]) == 2
     assert capsys.readouterr().err == "error: k must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["index", "search", "sweep", "evaluate", "compare"])
+def test_a_missing_output_directory_is_rejected_before_any_input_is_read(
+        workspace, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read its inputs before checking its output path")
+
+    for name in ("load_corpus", "index_corpus"):
+        monkeypatch.setattr(cli, name, refuse)
+    for name in ("read_run", "read_topics", "read_qrels"):
+        monkeypatch.setattr(cli.trec, name, refuse)
+    (workspace / "run.txt").write_text("t1 Q0 d1 1 1.000000 hgoe\n", encoding="utf-8")
+    corpus, topics, qrels, run = (
+        str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "run.txt")
+    )
+    missing = workspace / "nodir"
+    argv = {
+        "index": ["index", "--corpus", corpus, "--out", str(missing / "i.hgoe")],
+        "search": ["search", "--corpus", corpus, "--topics", topics,
+                   "--out", str(missing / "run.txt")],
+        "sweep": ["sweep", "--corpus", corpus, "--topics", topics, "--qrels", qrels,
+                  "--out", str(missing)],
+        "evaluate": ["evaluate", "--run", run, "--qrels", qrels,
+                     "--json", str(missing / "e.json")],
+        "compare": ["compare", "--run-a", run, "--run-b", run,
+                    "--json", str(missing / "c.json")],
+    }[command]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {argv[-2]}: no such directory: {missing}\n"
+    assert not missing.exists()

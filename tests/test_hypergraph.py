@@ -431,6 +431,24 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.structurally_equal(graph)
 
 
+@pytest.mark.parametrize("change", [
+    lambda g: setattr(g.nodes[-1], "weight", g.nodes[-1].weight / 2),
+    lambda g: setattr(g.nodes[0], "label", g.nodes[0].label + "x"),
+    lambda g: setattr(g.edges[-1], "weight", g.edges[-1].weight / 2),
+    lambda g: setattr(g.edges[0], "members", g.edges[0].members[1:]),
+    lambda g: setattr(g, "variant", Variant.SYNS_CONTEXT),
+    lambda g: g.edges.pop(),
+], ids=["node-weight", "node-label", "edge-weight", "edge-members", "variant", "edge-count"])
+def test_structurally_equal_sees_a_change_to_any_record(tmp_path, change):
+    graph, _ = graphgen.random_graph(np.random.default_rng(11), Variant.WEIGHTED)
+    path = tmp_path / "g.hgoe"
+    graph.save(str(path))
+    loaded = Hypergraph.load(str(path))
+    change(loaded)
+    assert not graph.structurally_equal(loaded)
+    assert not loaded.structurally_equal(graph)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     rng = np.random.default_rng(12)
     graph, _ = graphgen.random_graph(rng, Variant.SYNS_CONTEXT)
@@ -466,10 +484,10 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_every_truncation_names_an_offset(tmp_path):
-    # Weighted, with directed edges and Context similarities, so that some cut
-    # falls inside each kind of record and each kind of array.
+    # Weighted, with directed edges, so that some cut falls inside each kind
+    # of record and each kind of array.
     graph, _ = graphgen.random_graph(np.random.default_rng(25), Variant.WEIGHTED)
-    assert any(e.context_sims for e in graph.edges) and any(e.directed for e in graph.edges)
+    assert any(e.directed for e in graph.edges)
     path = tmp_path / "g.hgoe"
     graph.save(str(path))
     data = path.read_bytes()
@@ -483,7 +501,7 @@ def test_every_byte_flip_is_rejected_or_saved_back(tmp_path):
     # A flipped byte either fails with an offset or leaves another valid index,
     # and an index is the only encoding of the graph it loads as.
     graph, _ = graphgen.random_graph(np.random.default_rng(25), Variant.WEIGHTED)
-    assert any(e.context_sims for e in graph.edges) and any(e.directed for e in graph.edges)
+    assert any(e.directed for e in graph.edges)
     path, resaved = tmp_path / "g.hgoe", tmp_path / "again.hgoe"
     graph.save(str(path))
     data = path.read_bytes()
@@ -536,13 +554,13 @@ def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "g.hgoe"
     graph.save(str(path))
     data = bytearray(path.read_bytes())
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         data[4] = version  # version field sits right after the magic
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"unsupported format version {version} at offset 4") as err:
             Hypergraph.load(str(path))
         assert str(err.value).startswith(f"{path}: ")
-        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2))
+        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2, 3))
 
 
 def test_trailing_data_rejected(tmp_path):

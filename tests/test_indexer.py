@@ -17,9 +17,11 @@ from hgoe import (
     FormatError,
     Hypergraph,
     InputError,
+    InternalError,
     NodeKind,
     Variant,
     index_corpus,
+    indexer,
     load_corpus,
     load_embeddings,
     load_synonyms,
@@ -230,14 +232,14 @@ def test_extend_context_neighbour_rule():
         "charlie": np.array([0.6, 0.0, 0.8]),
         "delta": np.array([0.0, 1.0, 0.0]),
     }
-    added = extend_context(graph, embeddings)
+    context_sims = extend_context(graph, embeddings)
     context = [e for e in graph.edges if e.kind is EdgeKind.CONTEXT]
-    assert added == 1
+    assert len(context_sims) == 1
     assert len(context) == 1
     labels = {graph.nodes[m].label for m in context[0].members}
     assert labels == {"alpha", "bravo", "charlie"}
     # one (term, neighbour) sim pair per source row: alpha, bravo, charlie
-    assert context[0].context_sims == pytest.approx([0.9, 0.6, 0.9, 0.54, 0.6, 0.54])
+    assert context_sims[context[0].edge_id] == pytest.approx([0.9, 0.6, 0.9, 0.54, 0.6, 0.54])
 
 
 def _context_pair_edges(cosine):
@@ -248,7 +250,7 @@ def _context_pair_edges(cosine):
         "p": np.array([1.0, 0.0]),
         "q": np.array([cosine, math.sqrt(1.0 - cosine * cosine)]),
     }
-    return extend_context(graph, embeddings)
+    return len(extend_context(graph, embeddings))
 
 
 def test_extend_context_threshold():
@@ -261,10 +263,11 @@ def test_extend_context_identical_vectors():
     graph.upsert_node(NodeKind.TERM, "golf")
     graph.upsert_node(NodeKind.TERM, "hotel")
     embeddings = {"golf": np.array([1.0, 1.0]), "hotel": np.array([1.0, 1.0])}
-    assert extend_context(graph, embeddings) == 1
+    context_sims = extend_context(graph, embeddings)
+    assert len(context_sims) == 1
     edge = next(e for e in graph.edges if e.kind is EdgeKind.CONTEXT)
-    assert edge.context_sims == pytest.approx([1.0, 1.0])
-    assert all(s <= 1.0 for s in edge.context_sims)
+    assert context_sims[edge.edge_id] == pytest.approx([1.0, 1.0])
+    assert all(s <= 1.0 for s in context_sims[edge.edge_id])
 
 
 def test_extend_context_excludes_a_cosine_of_exactly_the_threshold():
@@ -272,7 +275,7 @@ def test_extend_context_excludes_a_cosine_of_exactly_the_threshold():
     graph.upsert_node(NodeKind.TERM, "p")
     graph.upsert_node(NodeKind.TERM, "q")
     embeddings = {"p": np.array([1.0, 0.0, 0.0, 0.0]), "q": np.array([0.5, 0.5, 0.5, 0.5])}
-    assert extend_context(graph, embeddings) == 0
+    assert len(extend_context(graph, embeddings)) == 0
 
 
 def test_extend_context_rejects_non_finite_vectors():
@@ -292,15 +295,16 @@ def test_extend_context_rescales_a_vector_whose_norm_over_or_underflows(scale):
     embeddings = {"a": np.array([scale, 0.0]), "b": np.array([1.0, 0.0])}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert extend_context(graph, embeddings) == 1
+        context_sims = extend_context(graph, embeddings)
+    assert len(context_sims) == 1
     (edge,) = [e for e in graph.edges if e.kind is EdgeKind.CONTEXT]
-    assert edge.context_sims == [1.0, 1.0]
+    assert context_sims[edge.edge_id] == [1.0, 1.0]
 
 
 def test_extend_context_ignores_unembedded_vocabulary():
     graph = Hypergraph()
     graph.upsert_node(NodeKind.TERM, "only")
-    assert extend_context(graph, {"unrelated": np.array([1.0, 0.0])}) == 0
+    assert len(extend_context(graph, {"unrelated": np.array([1.0, 0.0])})) == 0
 
 
 # Unit-norm templates with dyadic components: a signed permutation of any of
@@ -348,15 +352,16 @@ def test_extend_context_matches_the_documented_rule_on_ties(seed):
         for _ in labels
     ])
     graph = _term_graph(labels, rng)
-    added = extend_context(graph, {label: q / 4.0 for label, q in zip(labels, quarters)})
+    context_sims = extend_context(graph, {label: q / 4.0 for label, q in zip(labels, quarters)})
 
     cosine = (quarters @ quarters.T) / 16.0  # exact: integers over a power of two
     expected = _context_by_rule(graph, labels, cosine)
-    context = [(e.members, e.context_sims) for e in graph.edges if e.kind is EdgeKind.CONTEXT]
+    context = [(e.members, context_sims[e.edge_id])
+               for e in graph.edges if e.kind is EdgeKind.CONTEXT]
     assert context == [
         (members, [min(cosine[i, j], 1.0) for i, j in pairs]) for members, pairs in expected.items()
     ]
-    assert added == len(expected)
+    assert len(context_sims) == len(expected)
 
 
 def test_extend_context_matches_a_brute_force_rule_on_gaussian_vectors():
@@ -365,7 +370,7 @@ def test_extend_context_matches_a_brute_force_rule_on_gaussian_vectors():
     labels = [f"w{i:04d}" for i in range(1500)]
     vectors = rng.standard_normal((len(labels), 32))
     graph = _term_graph(labels, rng)
-    added = extend_context(graph, dict(zip(labels, vectors)))
+    context_sims = extend_context(graph, dict(zip(labels, vectors)))
 
     unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
     cosine = sum(np.outer(unit[:, k], unit[:, k]) for k in range(unit.shape[1]))  # no BLAS
@@ -377,10 +382,10 @@ def test_extend_context_matches_a_brute_force_rule_on_gaussian_vectors():
     expected = _context_by_rule(graph, labels, cosine)
     context = [e for e in graph.edges if e.kind is EdgeKind.CONTEXT]
     assert [e.members for e in context] == list(expected)
-    assert added == len(expected)
+    assert len(context_sims) == len(expected)
     for edge, pairs in zip(context, expected.values()):
-        assert len(edge.context_sims) == len(pairs)
-        for sim, (i, j) in zip(edge.context_sims, pairs):
+        assert len(context_sims[edge.edge_id]) == len(pairs)
+        for sim, (i, j) in zip(context_sims[edge.edge_id], pairs):
             assert abs(sim - math.fsum(unit[i] * unit[j])) <= 1e-14
 
 
@@ -455,7 +460,7 @@ def test_node_weights_count_the_document_edges_of_a_hand_built_graph():
     beta = graph.upsert_node(NodeKind.TERM, "beta")
     graph.add_edge(EdgeKind.DOCUMENT, members=[alpha, beta], doc_id="d1")
     graph.add_edge(EdgeKind.DOCUMENT, members=[alpha], doc_id="d2")
-    compute_weights(graph)
+    compute_weights(graph, {})
     assert graph.nodes[alpha].weight == 0.5
     assert graph.nodes[beta].weight == 2 / 3
     docs = [CorpusDocument("d1", "alpha beta"), CorpusDocument("d2", "alpha")]
@@ -481,6 +486,40 @@ def test_edge_weights_by_kind():
     assert weights[EdgeKind.RELATED_TO] == [pytest.approx(1.0)]
     assert weights[EdgeKind.SYNONYM] == [pytest.approx(0.25)]
     assert weights[EdgeKind.CONTEXT] == [pytest.approx(0.8)]
+
+
+def test_context_weight_is_the_capped_mean_of_the_similarities_extend_context_returns(
+        monkeypatch):
+    recorded = []
+
+    def recording_extend_context(graph, embeddings):
+        recorded.append(extend_context(graph, embeddings))
+        return recorded[-1]
+
+    monkeypatch.setattr(indexer, "extend_context", recording_extend_context)
+    rng = np.random.default_rng(24)
+    from_several_terms = 0
+    for _ in range(20):
+        graph, _ = graphgen.random_graph(rng, Variant.WEIGHTED)
+        context_sims = recorded.pop()
+        context = [e for e in graph.edges if e.kind is EdgeKind.CONTEXT]
+        assert [e.edge_id for e in context] == list(context_sims)
+        for edge in context:
+            sims = context_sims[edge.edge_id]
+            assert edge.weight == min(math.fsum(sims) / len(sims), 1.0)
+            # One term records one similarity per other member at most.
+            from_several_terms += len(sims) > len(edge.members) - 1
+    assert from_several_terms
+
+
+def test_compute_weights_rejects_a_context_edge_with_no_similarities():
+    graph = Hypergraph(Variant.WEIGHTED)
+    alpha, beta = graph.upsert_nodes(NodeKind.TERM, ["alpha", "beta"])
+    graph.add_edge(EdgeKind.DOCUMENT, members=[alpha, beta], doc_id="d1")
+    context = graph.add_edge(EdgeKind.CONTEXT, members=[alpha, beta])
+    for context_sims in ({}, {context: []}, {context + 1: [0.9]}):
+        with pytest.raises(InternalError, match=f"context edge {context} has no recorded"):
+            compute_weights(graph, context_sims)
 
 
 def test_related_to_weight_counts_co_occurrence():
