@@ -6,11 +6,12 @@ graph keeps a dense integer id space for nodes and edges, the edge records,
 and one label table per node kind that maps a label to its node id; a
 node's document frequency is counted from the Document edges.
 
-Freezing checks each edge record against the topology `add_edge` accepted
-and, in the same O(sum of edge sizes) pass, builds the walk table: for each
-node, the ids of the edges a walk can leave it by (`out_edges`). A step over
-an undirected edge reaches any other member; a directed edge is traversed
-tail to head. The same pass records the entities each term reaches over
+Freezing checks each edge record against the key `add_edge` recorded for it
+(a loaded graph has no such keys; see below) and, in the same O(sum of edge
+sizes) pass, builds the walk table (`walk_table`): for each node, the ids
+of the edges a walk can leave it by (`out_edges`). A step over an
+undirected edge reaches any other member; a directed edge is traversed tail
+to head. The same pass records the entities each term reaches over
 ContainedIn edges (`contained_in`), which seed mapping reads.
 
 Three walk tables are derived from the frozen graph and filled on first
@@ -47,14 +48,17 @@ edge ids are positions in the node and edge sections:
     heads               u32 node ids
 
 An edge's kind decides whether it is directed (`_KIND_RULES`) and whether
-it has a doc id (Document edges only), so neither is stored. Loading checks each section whole
-with numpy (counts, ids in range, strictly ascending members, kind rules,
-the document count, weights in (0, 1]), then builds the node and edge
-records and their indexes directly, with no `add_edge` replay, and freezes
-the graph. Every check `add_edge` or `freeze` would make holds before the
-first record is built, so an index loads as exactly the graph that saves
-back to the same bytes. A malformed file raises FormatError naming the
-file, the section and the byte offset of the first bad item.
+it has a doc id (Document edges only), so neither is stored. Loading checks
+each section whole with numpy (counts, ids in range, strictly ascending
+members, kind rules, the document count, weights in (0, 1]), then builds
+the node and edge records and their indexes directly, with no `add_edge`
+replay, rejects a node, doc id or edge that repeats an earlier one, and
+freezes the graph. Every check `add_edge` or `freeze` would make holds
+before `freeze` runs, so the loader builds each edge's key once, for its
+repeat check, and keeps none for `freeze` to check again. An index loads as
+exactly the graph that saves back to the same bytes. A malformed file
+raises FormatError naming the file, the section and the byte offset of the
+first bad item.
 """
 from __future__ import annotations
 
@@ -150,13 +154,14 @@ class Hypergraph:
         self.nodes: list[Node] = []
         self.edges: list[Hyperedge] = []
         self._node_index: dict[NodeKind, dict[str, int]] = {kind: {} for kind in NodeKind}
-        self._edge_index: dict[tuple, int] = {}
+        # add_edge's key of each edge; None once frozen, and for a loaded graph
+        self._edge_index: dict[tuple, int] | None = {}
         self._doc_edges: dict[str, int] = {}
         self._frozen = False
-        self._out_edges: list[tuple[int, ...]] = []
+        self.walk_table: list[tuple[int, ...]] = []  # see out_edges
         self._contained_in: dict[int, tuple[int, ...]] = {}
         # derived walk tables, filled on first use
-        self._weight_sums: dict[int, array] = {}
+        self.weight_sums: dict[int, array] = {}  # see out_weight_sums
         self.target_tables: dict[int, array] = {}  # see target_table
         self._by_targets: dict[int, tuple[array, array]] = {}  # see out_edges_by_targets
 
@@ -295,8 +300,8 @@ class Hypergraph:
         other member, and the directed edges holding node_id in their tail.
         A step reaches one of the edge's `targets` other than node_id.
         """
-        if 0 <= node_id < len(self._out_edges):
-            return self._out_edges[node_id]
+        if 0 <= node_id < len(self.walk_table):
+            return self.walk_table[node_id]
         if not self._frozen:
             raise InvariantError("graph must be frozen before walking")
         raise InputError(f"unknown node id {node_id}")
@@ -313,12 +318,13 @@ class Hypergraph:
         Filled on first use. The sums are added in out-edge order, so they
         are the floats `accumulate` gives over a list of those weights. The
         array is built from a list, so it is allocated at its exact length.
+        Walks read `weight_sums` with `get` and call this on a miss.
         """
-        sums = self._weight_sums.get(node_id)
+        sums = self.weight_sums.get(node_id)
         if sums is None:
             edges = self.edges
             weights = (edges[e].weight for e in self.out_edges(node_id))
-            sums = self._weight_sums[node_id] = array("d", list(accumulate(weights)))
+            sums = self.weight_sums[node_id] = array("d", list(accumulate(weights)))
         return sums
 
     def target_table(self, edge_id: int) -> array:
@@ -367,9 +373,11 @@ class Hypergraph:
         out_edges: list[list[int]] = [[] for _ in self.nodes]
         contained_in: dict[int, list[int]] = {}
         doc_edges = 0
+        # None for a loaded graph: the loader has rejected repeated edges itself
+        keys = self._edge_index
         for edge in self.edges:
-            key = (edge.kind, edge.members, edge.tail, edge.head, edge.doc_id)
-            if self._edge_index.get(key) != edge.edge_id:
+            if keys is not None and keys.get(
+                    (edge.kind, edge.members, edge.tail, edge.head, edge.doc_id)) != edge.edge_id:
                 raise InvariantError(f"edge {edge.edge_id} was changed after add_edge")
             if edge.kind is EdgeKind.DOCUMENT:
                 doc_edges += 1
@@ -394,10 +402,10 @@ class Hypergraph:
         # tuples of every node are never all alive together.
         for node_id, ids in enumerate(out_edges):
             out_edges[node_id] = tuple(ids)
-        self._out_edges = out_edges
+        self.walk_table = out_edges
         self._contained_in = {n: tuple(heads) for n, heads in contained_in.items()}
-        # Only add_edge, which a frozen graph refuses, reads the edge keys now.
-        self._edge_index = {}
+        # Only add_edge, which a frozen graph refuses, reads the edge keys.
+        self._edge_index = None
         self._frozen = True
         return self
 
@@ -500,8 +508,10 @@ class _Section(NamedTuple):
 def _read_index(data: bytes) -> Hypergraph:
     """Check a whole index file and build its graph, not yet frozen.
 
-    Every section is checked before the first record is built, so the graph
-    `freeze` receives already satisfies every rule it checks.
+    Every section is checked before the first record is built, and the
+    records for repeats once they are, so the graph `freeze` receives
+    already satisfies every rule it checks; it keeps no edge keys, and
+    `freeze` checks none.
     """
     if data[:4] != FORMAT_MAGIC:
         raise FormatError(f"bad magic bytes {data[:4]!r} at offset 0, expected {FORMAT_MAGIC!r}")
@@ -612,9 +622,9 @@ def _read_index(data: bytes) -> Hypergraph:
     if len(graph._doc_edges) < documents:
         _repeated(doc_id_ends, doc_ids, "doc id")
     keys = [(edge.kind, edge.members, edge.tail, edge.head, edge.doc_id) for edge in graph.edges]
-    graph._edge_index = {key: edge.edge_id for key, edge in zip(keys, graph.edges)}
-    if len(graph._edge_index) < edge_count:
+    if len(set(keys)) < edge_count:
         _repeated(edge_kinds, keys, "edge")
+    graph._edge_index = None
     return graph
 
 

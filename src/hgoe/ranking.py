@@ -15,7 +15,14 @@ blocked for exactly the next `delta` sampling decisions, i.e. clocks
 t+1 .. t+delta. The clock advances only when some walker executes a step,
 so a walk that finds no eligible transition ends early without a tick.
 
-Cost of a step: an out-edge is ruled out only when it is fatigued or
+Cost of a step: with both windows 0 and the table empty when a walk
+starts, nothing can enter the table during the walk, so `random_walk`
+runs a loop that rules nothing out and checks no fatigue: it reads the
+node's out-edges from `Hypergraph.walk_table`, draws one (weighted: by
+bisecting the running sums in `Hypergraph.weight_sums`), draws a target
+and only ticks the clock. Any other walk runs `_fatigued_walk`, which
+calls `FatigueTable.advance` after every step, O(1) amortised to expire
+old entries. There an out-edge is ruled out only when it is fatigued or
 every target other than the source is fatigued. With m nodes fatigued,
 the latter needs at most m + 1 targets, so a step reads only the current
 node's out-edges of that size, the first entries of its out-edges
@@ -27,22 +34,19 @@ steps k over the excluded positions. Unweighted, it draws integers(count);
 weighted, it bisects the running sums of the out-edge weights
 (`Hypergraph.out_weight_sums`) when nothing is excluded, and otherwise
 lists the other out-edges' weights, O(deg).
-Each tick of the clock costs O(1) amortised to expire old entries. With
-both windows 0 and the table empty, a step only ticks the clock: nothing
-can expire or enter.
-With no node fatigued, a weighted step reads the edge's target table
-(`Hypergraph.target_table`): the target weights, their running sums and
-a memo of the other targets' total per source position. When the source,
-found by bisection at position i, is a target, the other targets'
-running sums are the cached sums before i and then the weights after i
-added on to the sum before i: the floats the list without the source
-gives. The first step from i adds them all for the total; later ones
-read it. A draw below the sum before i bisects the cached sums, O(log
-deg); one above it adds the weights after i only until a sum exceeds
-it, and builds no list. Under node fatigue it lists the eligible
-targets. A node found to have no eligible transition goes into
-`FatigueTable.dead_ends` until the clock next ticks, so walks that start
-from it again end at once, without a draw.
+With no node fatigued, a weighted step of either loop reads the edge's
+target table (`Hypergraph.target_table`, `_weighted_target`): the target
+weights, their running sums and a memo of the other targets' total per
+source position. When the source, found by bisection at position i, is a
+target, the other targets' running sums are the cached sums before i and
+then the weights after i added on to the sum before i: the floats the
+list without the source gives. The first step from i adds them all for
+the total; later ones read it. A draw below the sum before i bisects the
+cached sums, O(log deg); one above it adds the weights after i only
+until a sum exceeds it, and builds no list. Under node fatigue it lists
+the eligible targets. A node found to have no eligible transition goes
+into `FatigueTable.dead_ends` until the clock next ticks, so walks that
+start from it again end at once, without a draw.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -132,8 +136,8 @@ class FatigueTable:
 
     `dead_ends` holds the nodes a walk found no eligible transition from
     since the clock last ticked; nothing else changes the table, so they
-    stay dead until the next tick. With both windows 0 and the table
-    empty, `random_walk` ticks `clock` itself instead of calling
+    stay dead until the next tick. A walk that starts with both windows 0
+    and the table empty ticks `clock` itself instead of calling
     `advance`: nothing can expire or enter, and a dead end then has no
     out-edges at all, so `dead_ends` stays as it is.
     """
@@ -274,22 +278,79 @@ def random_walk(
 
     Returns (visited edge ids, visited node ids, steps taken). The start
     node is not a visit. The walk ends early when no eligible transition
-    remains.
+    remains. With both windows 0 and the table empty nothing can enter the
+    table during the walk, so every out-edge and every target other than
+    the source stays eligible: this loop checks no fatigue and only ticks
+    the clock. Any other walk runs `_fatigued_walk`.
     """
     # only the start needs the memo: an executed step clears it, except a
     # zero-window tick, after which it holds only nodes without out-edges
     if start in fatigue.dead_ends:
         return [], [], 0
+    if params.node_fatigue or params.edge_fatigue or fatigue.nodes or fatigue.edges:
+        return _fatigued_walk(graph, start, length, fatigue, params, rng, step_listener)
+    weighted = graph.variant is Variant.WEIGHTED
+    edges = graph.edges
+    walk_table = graph.walk_table
+    weight_sums = graph.weight_sums
+    visited_edges: list[int] = []
+    visited_nodes: list[int] = []
+    current = start
+    out = graph.out_edges(start)
+    for _ in range(length):
+        count = len(out)
+        if not count:
+            fatigue.dead_ends.add(current)
+            break
+        if weighted:
+            # as _cumulative_pick over the out-edge weights picks
+            sums = weight_sums.get(current)
+            if sums is None:
+                sums = graph.out_weight_sums(current)
+            k = bisect_right(sums, rng.random() * sums[-1])
+            edge_id = out[k if k < count else count - 1]
+            target = _weighted_target(graph, edge_id, current, rng.random())
+        else:
+            edge_id = out[rng.integers(count)]
+            edge = edges[edge_id]
+            if edge.head:
+                targets = [t for t in edge.head if t != current]
+                target = targets[rng.integers(len(targets))]
+            else:
+                # members are sorted, so the k-th member other than the
+                # source is members[k] below it and members[k + 1] above
+                members = edge.members
+                k = rng.integers(len(members) - 1)
+                target = members[k] if members[k] < current else members[k + 1]
+        visited_edges.append(edge_id)
+        visited_nodes.append(target)
+        fatigue.clock += 1
+        if step_listener is not None:
+            step_listener(fatigue.clock, edge_id, target)
+        current = target
+        out = walk_table[current]
+    return visited_edges, visited_nodes, len(visited_edges)
+
+
+def _fatigued_walk(
+    graph: Hypergraph,
+    start: int,
+    length: int,
+    fatigue: FatigueTable,
+    params: RankingParams,
+    rng: np.random.Generator | BlockDraws,
+    step_listener: StepListener | None,
+) -> tuple[list[int], list[int], int]:
+    """`random_walk` for a walk with a window above 0 or a table not empty.
+
+    Each step rules out the out-edges fatigue blocks and the fatigued
+    targets, and feeds the table through `FatigueTable.advance`.
+    """
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     nodes = graph.nodes
     out_edges = graph.out_edges
     out_weight_sums = graph.out_weight_sums
-    tables = graph.target_tables
-    target_table = graph.target_table
-    # with both windows 0 nothing enters the table, so once it is empty a
-    # step only ticks the clock, and no node can be a dead end by fatigue
-    windows = params.node_fatigue or params.edge_fatigue
     visited_edges: list[int] = []
     visited_nodes: list[int] = []
     current = start
@@ -323,42 +384,7 @@ def random_walk(
         edge_id = out[k]
         edge = edges[edge_id]
         if weighted and not fatigued:
-            # Targets are sorted, so the source, if it is one, sits at i. The
-            # running sums of the other targets' weights are then the cached
-            # sums before i, followed by the weights after i added on to
-            # sums[i - 1]: the very floats accumulate gives over the list of
-            # the other weights. A draw below sums[i - 1] bisects the cached
-            # sums; one above adds the weights after i until a sum exceeds it,
-            # the index bisect_right finds in that list, clamped to the last
-            # of the other targets as _cumulative_pick clamps.
-            targets = edge.head or edge.members
-            n = len(targets)
-            table = tables.get(edge_id)
-            if table is None:
-                table = target_table(edge_id)
-            i = bisect_left(targets, current)
-            if i < n and targets[i] == current:
-                before = table[n + i - 1] if i else 0.0
-                total = table[2 * n + i]
-                if not total:
-                    total = before
-                    for j in range(i + 1, n):
-                        total += table[j]
-                    table[2 * n + i] = total
-                x = rng.random() * total
-                if x < before or i == n - 1:
-                    k = bisect_right(table, x, n, n + i) - n
-                    target = targets[k if k < i else i - 1]
-                else:
-                    running = before
-                    for k in range(i + 1, n):
-                        running += table[k]
-                        if running > x:
-                            break
-                    target = targets[k]
-            else:
-                k = bisect_right(table, rng.random() * table[2 * n - 1], n, 2 * n) - n
-                target = targets[k if k < n else n - 1]
+            target = _weighted_target(graph, edge_id, current, rng.random())
         elif weighted or fatigued or edge.head:
             targets = [t for t in edge.targets if t != current and t not in fatigued]
             if weighted:
@@ -374,14 +400,56 @@ def random_walk(
             target = members[k] if members[k] < current else members[k + 1]
         visited_edges.append(edge_id)
         visited_nodes.append(target)
-        if calm and not windows:
-            fatigue.clock += 1
-        else:
-            fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
+        fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
         if step_listener is not None:
             step_listener(fatigue.clock, edge_id, target)
         current = target
     return visited_edges, visited_nodes, len(visited_edges)
+
+
+def _weighted_target(graph: Hypergraph, edge_id: int, source: int, u: float) -> int:
+    """The target a weighted step over edges[edge_id] from source picks for draw u.
+
+    It is the pick `_cumulative_pick` makes with u over the weights of the
+    targets other than source, read from the edge's target table
+    (`Hypergraph.target_table`) instead of a list; no node is fatigued.
+
+    Targets are sorted, so the source, if it is one, sits at i. The running
+    sums of the other targets' weights are then the cached sums before i,
+    followed by the weights after i added on to sums[i - 1]: the very
+    floats accumulate gives over the list of the other weights. A draw
+    below sums[i - 1] bisects the cached sums; one above adds the weights
+    after i until a sum exceeds it, the index bisect_right finds in that
+    list, clamped to the last of the other targets as _cumulative_pick
+    clamps.
+    """
+    edge = graph.edges[edge_id]
+    targets = edge.head or edge.members
+    n = len(targets)
+    table = graph.target_tables.get(edge_id)
+    if table is None:
+        table = graph.target_table(edge_id)
+    i = bisect_left(targets, source)
+    if i < n and targets[i] == source:
+        before = table[n + i - 1] if i else 0.0
+        total = table[2 * n + i]
+        if not total:
+            total = before
+            for j in range(i + 1, n):
+                total += table[j]
+            table[2 * n + i] = total
+        x = u * total
+        if x < before or i == n - 1:
+            k = bisect_right(table, x, n, n + i) - n
+            return targets[k if k < i else i - 1]
+        running = before
+        for k in range(i + 1, n):
+            running += table[k]
+            if running > x:
+                break
+        return targets[k]
+    k = bisect_right(table, u * table[2 * n - 1], n, 2 * n) - n
+    return targets[k if k < n else n - 1]
 
 
 def _excluded_positions(

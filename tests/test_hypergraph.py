@@ -548,6 +548,40 @@ def test_load_rejects_records_add_edge_cannot_make(tmp_path, corrupt, message):
         Hypergraph.load(str(path))
 
 
+def _repeated_node(graph):
+    graph.nodes[1].label = graph.nodes[0].label
+
+
+def _repeated_doc_id(graph):
+    graph.edges[1].doc_id = graph.edges[0].doc_id
+
+
+def _repeated_edge(graph):
+    graph.edges[3].members = graph.edges[2].members
+
+
+# small_graph plus Document edges 0, 1 and Synonym edges 2, 3: label ends
+# start at 45, edge kinds at 77 and doc id ends at 97.
+@pytest.mark.parametrize("corrupt, message", [
+    (_repeated_node, "label ends section: node 1 repeats an earlier node at offset 49$"),
+    (_repeated_doc_id, "doc id ends section: doc id 1 repeats an earlier doc id at offset 101$"),
+    (_repeated_edge, "edge kinds section: edge 3 repeats an earlier edge at offset 80$"),
+], ids=["node", "doc-id", "edge"])
+def test_load_rejects_a_record_that_repeats_an_earlier_one(tmp_path, corrupt, message):
+    g, a, b, c, e = small_graph()
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    g.add_edge(EdgeKind.DOCUMENT, members=[b, c], doc_id="d2")
+    g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    g.add_edge(EdgeKind.SYNONYM, members=[a, c])
+    path = tmp_path / "g.hgoe"
+    g.save(str(path))
+    Hypergraph.load(str(path))
+    corrupt(g)
+    g.save(str(path))
+    with pytest.raises(FormatError, match=message):
+        Hypergraph.load(str(path))
+
+
 def test_unsupported_version_rejected(tmp_path):
     rng = np.random.default_rng(15)
     graph, _ = graphgen.random_graph(rng, Variant.BASE)

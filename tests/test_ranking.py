@@ -720,15 +720,12 @@ def test_weighted_target_pick_at_the_top_of_the_draw_range(u):
         assert want == others[ranking._cumulative_pick(weights[:i] + weights[i + 1:], u)]
 
 
-@pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
-@pytest.mark.parametrize("fatigued", [(4,), (2,), (4, 2)], ids=["last", "middle", "both"])
-def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fatigued):
-    """The largest draw takes the last eligible out-edge, wherever the excluded ones sit.
+# 1e-17 is lost when added to the others' sum
+FAN_WEIGHTS = [0.5, 0.25, 0.125, 0.0625, 1e-17]
 
-    The edges are fatigued by `advance`, so the step picks from the weights
-    of the other out-edges and steps past the excluded positions.
-    """
-    weights = [0.5, 0.25, 0.125, 0.0625, 1e-17]
+
+def weighted_fan(weights):
+    """A source term with one Synonym edge to a leaf per weight; (graph, source, leaves, edges)."""
     g = Hypergraph(Variant.WEIGHTED)
     source = g.upsert_node(NodeKind.TERM, "source")
     leaves = [g.upsert_node(NodeKind.TERM, f"leaf{i}") for i in range(len(weights))]
@@ -739,6 +736,29 @@ def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fat
         g.edges[edge_id].weight = weight
     g.freeze()
     assert g.out_edges(source) == tuple(edges)
+    return g, source, leaves, edges
+
+
+@pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
+def test_weighted_edge_pick_at_the_top_of_the_draw_range_without_fatigue(u):
+    """Nothing fatigued: the largest draw takes the last out-edge whose weight the sums keep."""
+    g, source, leaves, edges = weighted_fan(FAN_WEIGHTS)
+    want = len(edges) - 1 if u == 1.0 else len(edges) - 2
+    assert want == ranking._cumulative_pick(FAN_WEIGHTS, u)
+    got = random_walk(g, source, 1, FatigueTable(), RankingParams(), StubDraws([u, 0.5]))
+    assert got == ([edges[want]], [leaves[want]], 1)
+
+
+@pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
+@pytest.mark.parametrize("fatigued", [(4,), (2,), (4, 2)], ids=["last", "middle", "both"])
+def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fatigued):
+    """The largest draw takes the last eligible out-edge, wherever the excluded ones sit.
+
+    The edges are fatigued by `advance`, so the step picks from the weights
+    of the other out-edges and steps past the excluded positions.
+    """
+    g, source, leaves, edges = weighted_fan(FAN_WEIGHTS)
+    weights = FAN_WEIGHTS
     params = RankingParams(edge_fatigue=5)
     fatigue = FatigueTable()
     for position in fatigued:
@@ -802,6 +822,40 @@ def test_zero_windows_still_expire_a_table_filled_with_open_windows():
     # the tick to clock 3 ended the windows and the memo, so s1 walks again
     assert table.dead_ends == set()
     assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([e_a], [aux1], 1)
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+@pytest.mark.parametrize("entry", ["node", "edge"])
+def test_fatigued_loop_walks_a_zero_window_walk_as_the_calm_loop_does(monkeypatch, variant, entry):
+    """A table entry for an id the graph lacks sends a walk through the other loop, and changes nothing."""
+    fatigued_walk, routed = ranking._fatigued_walk, []
+
+    def counted(graph, start, *rest):
+        routed.append(start)
+        return fatigued_walk(graph, start, *rest)
+
+    monkeypatch.setattr(ranking, "_fatigued_walk", counted)
+    rng = np.random.default_rng(93)
+    steps = 0
+    for i in range(12):
+        graph, _ = graphgen.random_graph(rng, variant)
+        length = int(rng.integers(1, 8))
+        for start in range(len(graph.nodes)):
+            walks = []
+            for forced in (False, True):
+                fatigue, stream, seen = FatigueTable(), make_stream(i, f"pin {start}"), []
+                if forced:
+                    table = fatigue.nodes if entry == "node" else fatigue.edges
+                    table[len(graph.nodes) + len(graph.edges)] = length + 1
+                del routed[:]
+                got = random_walk(graph, start, length, fatigue, RankingParams(), stream,
+                                  lambda *step: seen.append(step))
+                assert routed == ([start] if forced else [])
+                walks.append((got, fatigue.clock, fatigue.dead_ends, seen,
+                              stream.bit_generator.state))
+            assert walks[0] == walks[1]
+            steps += walks[0][0][2]
+    assert steps > 1000
 
 
 def test_target_sums_cache_holds_only_walked_edges_one_sum_per_target():
