@@ -309,6 +309,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_k(args.k)
     _check_out("--json", args.json_out)
     run = trec.read_run(args.run)
     qrels = trec.read_qrels(args.qrels)

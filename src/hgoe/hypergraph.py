@@ -24,22 +24,20 @@ They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
 
-Binary index format (version 4, little-endian). A header is followed by
-fourteen array sections, each a u32 byte length and then its items; node and
+Binary index format (version 5, little-endian). A header is followed by
+twelve array sections, each a u32 byte length and then its items; node and
 edge ids are positions in the node and edge sections:
 
     offset 0: magic bytes "HGOE"
-    u32 format version (= 4)
+    u32 format version (= 5)
     u8  variant code (0 = base, 1 = syns-context, 2 = weighted)
     u32 node count, u32 edge count, u32 document count
     node kinds          u8 per node
-    node weight flags   u8 per node (1 = weighted)
-    node weights        f64 per weighted node
+    node weights        f64 per node of a weighted graph, else empty
     label ends          u32 per node: end of its label in the labels blob
     labels              the labels, utf-8, end to end
     edge kinds          u8 per edge
-    edge weight flags   u8 per edge
-    edge weights        f64 per weighted edge
+    edge weights        f64 per edge of a weighted graph, else empty
     doc id ends         u32 per Document edge
     doc ids             the doc ids, utf-8, end to end
     member ends         u32 per edge: end of its members (tail if directed)
@@ -48,7 +46,9 @@ edge ids are positions in the node and edge sections:
     heads               u32 node ids
 
 An edge's kind decides whether it is directed (`_KIND_RULES`) and whether
-it has a doc id (Document edges only), so neither is stored. Loading checks
+it has a doc id (Document edges only), and the variant decides whether the
+nodes and edges carry weights (all of them in a weighted graph, none in
+another), so none of these is stored. Loading checks
 each section whole with numpy (counts, ids in range, strictly ascending
 members, kind rules, the document count, weights in (0, 1]), then builds
 the node and edge records and their indexes directly, with no `add_edge`
@@ -68,7 +68,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,7 +76,7 @@ import numpy as np
 from .errors import FormatError, InputError, InvariantError
 
 FORMAT_MAGIC = b"HGOE"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class NodeKind(IntEnum):
@@ -104,6 +104,8 @@ _CODE_VARIANTS = {code: variant for variant, code in _VARIANT_CODES.items()}
 
 @dataclass(slots=True)
 class Node:
+    """One node. Its weight is None unless the graph is weighted."""
+
     node_id: int
     kind: NodeKind
     label: str
@@ -112,7 +114,10 @@ class Node:
 
 @dataclass(slots=True)
 class Hyperedge:
-    """One hyperedge. Undirected edges use `members`, directed ones `tail`/`head`."""
+    """One hyperedge. Undirected edges use `members`, directed ones `tail`/`head`.
+
+    Its weight is None unless the graph is weighted.
+    """
 
     edge_id: int
     kind: EdgeKind
@@ -389,15 +394,15 @@ class Hypergraph:
                     out_edges[n].append(edge.edge_id)
         if doc_edges != len(self._doc_edges):
             raise InvariantError("document count does not match Document edges")
-        for node in self.nodes:
-            if node.weight is not None and not 0.0 < node.weight <= 1.0:
-                raise InvariantError(f"node {node.node_id} weight {node.weight} outside (0, 1]")
-        for edge in self.edges:
-            if edge.weight is not None and not 0.0 < edge.weight <= 1.0:
-                raise InvariantError(f"edge {edge.edge_id} weight {edge.weight} outside (0, 1]")
-        if self.variant is Variant.WEIGHTED:
-            if any(n.weight is None for n in self.nodes) or any(e.weight is None for e in self.edges):
-                raise InvariantError("weighted graph has unweighted elements")
+        weighted = self.variant is Variant.WEIGHTED
+        for what, records in (("node", self.nodes), ("edge", self.edges)):
+            for i, record in enumerate(records):
+                weight = record.weight
+                if (weight is not None) != weighted:
+                    raise InvariantError(f"{what} {i} {'has no' if weighted else 'has a'} "
+                                         f"weight in a {self.variant.value} graph")
+                if weighted and not 0.0 < weight <= 1.0:
+                    raise InvariantError(f"{what} {i} weight {weight} outside (0, 1]")
         # Each list gives way to its tuple at once, so the lists and the
         # tuples of every node are never all alive together.
         for node_id, ids in enumerate(out_edges):
@@ -426,12 +431,10 @@ class Hypergraph:
         directed = [edge for edge in edges if edge.directed]
         sections = (
             bytes(node.kind for node in nodes),
-            bytes(node.weight is not None for node in nodes),
             _f64(node.weight for node in nodes if node.weight is not None),
             _ends(labels),
             b"".join(labels),
             bytes(edge.kind for edge in edges),
-            bytes(edge.weight is not None for edge in edges),
             _f64(edge.weight for edge in edges if edge.weight is not None),
             _ends(doc_ids),
             b"".join(doc_ids),
@@ -546,9 +549,8 @@ def _read_index(data: bytes) -> Hypergraph:
     node_kinds = section("node kinds", "u1", node_count)
     node_kinds.reject(node_kinds.items >= len(NodeKind),
                       lambda i: f"unknown node kind {node_kinds.items[i]}")
-    node_flags = section("node weight flags", "u1", node_count)
-    _check_flags(node_flags, variant)
-    node_weights = section("node weights", "<f8", int(node_flags.items.sum()))
+    weighted = variant is Variant.WEIGHTED
+    node_weights = section("node weights", "<f8", node_count if weighted else 0)
     _check_weights(node_weights)
     label_ends = section("label ends", "<u4", node_count)
     _spans(label_ends, 1)
@@ -557,9 +559,7 @@ def _read_index(data: bytes) -> Hypergraph:
     edge_kinds = section("edge kinds", "u1", edge_count)
     kinds = edge_kinds.items
     edge_kinds.reject(kinds >= len(EdgeKind), lambda i: f"unknown edge kind {kinds[i]}")
-    edge_flags = section("edge weight flags", "u1", edge_count)
-    _check_flags(edge_flags, variant)
-    edge_weights = section("edge weights", "<f8", int(edge_flags.items.sum()))
+    edge_weights = section("edge weights", "<f8", edge_count if weighted else 0)
     _check_weights(edge_weights)
     documents = int((kinds == EdgeKind.DOCUMENT).sum())
     if doc_count != documents:
@@ -581,11 +581,11 @@ def _read_index(data: bytes) -> Hypergraph:
         raise FormatError(f"trailing data at offset {offset}")
 
     graph = Hypergraph(variant)
-    node_weight = iter(node_weights.items.tolist())
     graph.nodes = [
-        Node(node_id, _NODE_KINDS[kind], label, next(node_weight) if flag else None)
-        for node_id, (kind, flag, label) in enumerate(
-            zip(node_kinds.items.tolist(), node_flags.items.tolist(), labels))
+        Node(node_id, _NODE_KINDS[kind], label, weight)
+        for node_id, (kind, label, weight) in enumerate(zip(
+            node_kinds.items.tolist(), labels,
+            node_weights.items.tolist() if weighted else repeat(None)))
     ]
     tables = [graph._node_index[kind] for kind in NodeKind]
     for node in graph.nodes:
@@ -596,15 +596,15 @@ def _read_index(data: bytes) -> Hypergraph:
     # Edges hold the nodes' own id objects, as in a graph built by add_edge,
     # not one int object per member.
     node_id = [node.node_id for node in graph.nodes].__getitem__
-    edge_weight = iter(edge_weights.items.tolist())
     doc_id = iter(doc_ids)
     is_directed = _DIRECTED.tolist()
     member_stops = member_ends.items.tolist()
     head_stops = head_ends.items.tolist()
     head_spans = zip([0, *head_stops], head_stops)
     member_ids, head_ids = members.items, heads.items
-    for edge_id, (kind, flag, start, end) in enumerate(zip(
-            kinds.tolist(), edge_flags.items.tolist(), [0, *member_stops], member_stops)):
+    for edge_id, (kind, start, end, weight) in enumerate(zip(
+            kinds.tolist(), [0, *member_stops], member_stops,
+            edge_weights.items.tolist() if weighted else repeat(None))):
         first = tuple(map(node_id, member_ids[start:end].tolist()))
         if is_directed[kind]:
             head_start, head_end = next(head_spans)
@@ -615,7 +615,7 @@ def _read_index(data: bytes) -> Hypergraph:
         graph.edges.append(Hyperedge(
             edge_id, _EDGE_KINDS[kind], undirected, tail, head,
             next(doc_id) if kind == EdgeKind.DOCUMENT else None,
-            next(edge_weight) if flag else None,
+            weight,
         ))
     graph._doc_edges = {edge.doc_id: edge.edge_id
                         for edge in graph.edges if edge.doc_id is not None}
@@ -635,13 +635,6 @@ def _field(data: bytes, offset: int, fmt: str, what: str) -> int:
         raise FormatError(
             f"truncated index file: needed {size} bytes for {what} at offset {offset}")
     return struct.unpack_from(fmt, data, offset)[0]
-
-
-def _check_flags(flags: _Section, variant: Variant) -> None:
-    values = flags.items
-    flags.reject(values > 1, lambda i: f"weight flag {values[i]} is neither 0 nor 1")
-    if variant is Variant.WEIGHTED:
-        flags.reject(values == 0, lambda i: f"element {i} of a weighted graph has no weight")
 
 
 def _check_weights(weights: _Section) -> None:

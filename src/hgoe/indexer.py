@@ -46,7 +46,7 @@ class CorpusDocument:
 
 
 def load_corpus(path: str) -> list[CorpusDocument]:
-    """Read a .jsonl corpus, validating ids, field types and non-emptiness."""
+    """Read a .jsonl corpus, validating ids, field types and that each document yields a term."""
     documents = []
     seen = set()
     with open_text(path) as fh:
@@ -71,8 +71,12 @@ def load_corpus(path: str) -> list[CorpusDocument]:
                 raise FormatError(f"{path}:{lineno}: 'links' must be a list of strings")
             if doc_id in seen:
                 raise InputError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            if not text and not links:
-                raise InputError(f"{path}:{lineno}: document {doc_id!r} has no text and no links")
+            # str.lower moves no character into or out of the token class: search as given.
+            for name in links:
+                if not _TOKEN_RE.search(name):
+                    raise InputError(f"{path}:{lineno}: entity name {name!r} has no tokens")
+            if not links and not _TOKEN_RE.search(text):
+                raise InputError(f"{path}:{lineno}: document {doc_id!r} has no tokens and no links")
             seen.add(doc_id)
             documents.append(CorpusDocument(doc_id, text, tuple(links)))
     return documents

@@ -357,8 +357,7 @@ def _fatigued_walk(
     for _ in range(length):
         out = out_edges(current)
         fatigued = fatigue.nodes
-        calm = not fatigued and not fatigue.edges
-        excluded = () if calm else _excluded_positions(graph, out, current, fatigue)
+        excluded = _excluded_positions(graph, out, current, fatigue)
         count = len(out) - len(excluded)
         if not count:
             fatigue.dead_ends.add(current)

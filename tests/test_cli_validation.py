@@ -165,6 +165,12 @@ def test_flags_are_checked_before_any_file_is_read(workspace, capsys, command):
     assert capsys.readouterr().err == "error: k must be at least 1\n"
 
 
+def test_evaluate_checks_k_before_any_file_is_read(workspace, capsys):
+    missing = str(workspace / "missing")
+    assert cli.main(["evaluate", "--run", missing, "--qrels", missing, "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: k must be at least 1\n"
+
+
 @pytest.mark.parametrize("command", ["index", "search", "sweep", "evaluate", "compare"])
 def test_a_missing_output_directory_is_rejected_before_any_input_is_read(
         workspace, capsys, monkeypatch, command):

@@ -5,6 +5,7 @@ import gc
 import tracemalloc
 from itertools import groupby
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hgoe import (
     index_corpus,
     random_walk,
 )
+from hgoe import hypergraph
 from hgoe.ranking import make_stream
 
 import graphgen
@@ -420,6 +422,21 @@ def test_weighted_freeze_requires_all_weights():
         g.freeze()
 
 
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.SYNS_CONTEXT])
+@pytest.mark.parametrize("what", ["node", "edge"])
+def test_unweighted_freeze_rejects_any_weight(variant, what):
+    # The index stores weights only for a weighted graph, so a weight here
+    # could not survive a save and load.
+    g = Hypergraph(variant)
+    a = g.upsert_node(NodeKind.TERM, "a")
+    b = g.upsert_node(NodeKind.TERM, "b")
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
+    g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    (g.nodes if what == "node" else g.edges)[1].weight = 0.5
+    with pytest.raises(InvariantError, match=f"{what} 1 has a weight in a {variant.value} graph"):
+        g.freeze()
+
+
 def test_round_trip_preserves_everything(tmp_path):
     rng = np.random.default_rng(11)
     graph, _ = graphgen.random_graph(rng, Variant.WEIGHTED)
@@ -532,11 +549,11 @@ def _repeated_member(graph):
 
 
 # Offsets follow the layout in the hypergraph module docstring for small_graph
-# plus one Document edge: label ends start at 45, members at 113.
+# plus one Document edge: label ends start at 37, members at 100.
 @pytest.mark.parametrize("corrupt, message", [
-    (_empty_label, "label ends section: .* at offset 45$"),
-    (_members_out_of_order, "members section: node id 1 does not exceed .* at offset 117$"),
-    (_repeated_member, "members section: node id 0 does not exceed .* at offset 117$"),
+    (_empty_label, "label ends section: .* at offset 37$"),
+    (_members_out_of_order, "members section: node id 1 does not exceed .* at offset 104$"),
+    (_repeated_member, "members section: node id 0 does not exceed .* at offset 104$"),
 ], ids=["empty-label", "members-out-of-order", "repeated-member"])
 def test_load_rejects_records_add_edge_cannot_make(tmp_path, corrupt, message):
     g, a, b, c, e = small_graph()
@@ -561,11 +578,11 @@ def _repeated_edge(graph):
 
 
 # small_graph plus Document edges 0, 1 and Synonym edges 2, 3: label ends
-# start at 45, edge kinds at 77 and doc id ends at 97.
+# start at 37, edge kinds at 69 and doc id ends at 81.
 @pytest.mark.parametrize("corrupt, message", [
-    (_repeated_node, "label ends section: node 1 repeats an earlier node at offset 49$"),
-    (_repeated_doc_id, "doc id ends section: doc id 1 repeats an earlier doc id at offset 101$"),
-    (_repeated_edge, "edge kinds section: edge 3 repeats an earlier edge at offset 80$"),
+    (_repeated_node, "label ends section: node 1 repeats an earlier node at offset 41$"),
+    (_repeated_doc_id, "doc id ends section: doc id 1 repeats an earlier doc id at offset 85$"),
+    (_repeated_edge, "edge kinds section: edge 3 repeats an earlier edge at offset 72$"),
 ], ids=["node", "doc-id", "edge"])
 def test_load_rejects_a_record_that_repeats_an_earlier_one(tmp_path, corrupt, message):
     g, a, b, c, e = small_graph()
@@ -588,13 +605,21 @@ def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "g.hgoe"
     graph.save(str(path))
     data = bytearray(path.read_bytes())
-    for version in (99, 1, 2, 3):
+    for version in (99, 1, 2, 3, 4):
         data[4] = version  # version field sits right after the magic
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"unsupported format version {version} at offset 4") as err:
             Hypergraph.load(str(path))
         assert str(err.value).startswith(f"{path}: ")
-        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2, 3))
+        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2, 3, 4))
+
+
+def test_the_format_docs_name_the_current_version():
+    version = hypergraph.FORMAT_VERSION
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"(magic `HGOE`, version {version})" in readme
+    assert f"Binary index format (version {version}," in hypergraph.__doc__
+    assert f"u32 format version (= {version})" in hypergraph.__doc__
 
 
 def test_trailing_data_rejected(tmp_path):

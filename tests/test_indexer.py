@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -561,13 +562,15 @@ def test_load_corpus(tmp_path):
     path.write_text(
         '{"id": "d1", "text": "Hello world", "links": ["Earth"]}\n'
         '\n'
-        '{"id": "d2", "text": "Bye"}\n',
+        '{"id": "d2", "text": "Bye"}\n'
+        '{"id": "d3", "text": "--", "links": ["Rome"]}\n',
         encoding="utf-8",
     )
     docs = load_corpus(str(path))
     assert docs == [
         CorpusDocument("d1", "Hello world", ("Earth",)),
         CorpusDocument("d2", "Bye", ()),
+        CorpusDocument("d3", "--", ("Rome",)),
     ]
 
 
@@ -584,6 +587,19 @@ def test_load_corpus_rejects_bad_records(tmp_path, line, error):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(error):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "d2", "text": "!!!"}', "document 'd2' has no tokens and no links"),
+    ('{"id": "d2", "text": "x", "links": ["Rome", "..."]}', "entity name '...' has no tokens"),
+    ('{"id": "d2", "text": "x", "links": [""]}', "entity name '' has no tokens"),
+    ('{"id": "d2", "text": "!!!", "links": ["_"]}', "entity name '_' has no tokens"),
+], ids=["punctuation-text", "punctuation-link", "empty-link", "underscore-link"])
+def test_load_corpus_rejects_a_tokenless_document_at_its_line(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "d1", "text": "fine"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         load_corpus(str(path))
 
 
