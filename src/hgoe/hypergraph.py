@@ -424,7 +424,12 @@ class Hypergraph:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the binary index; identical graphs produce identical bytes."""
+        """Write the binary index; identical graphs produce identical bytes.
+
+        Only a frozen graph saves: `freeze` checks the records `load` relies on.
+        """
+        if not self._frozen:
+            raise InvariantError("graph must be frozen before saving")
         nodes, edges = self.nodes, self.edges
         labels = [node.label.encode("utf-8") for node in nodes]
         doc_ids = [edge.doc_id.encode("utf-8") for edge in edges if edge.doc_id is not None]
@@ -458,20 +463,32 @@ class Hypergraph:
         A malformed file raises FormatError naming the file, the section and
         the byte offset of the first bad item.
         """
-        # The records form no reference cycles, so the cyclic collector would
-        # only walk the growing graph again and again while it is built (about
-        # a quarter of a fresh process's load). It is switched back on after.
-        collecting = gc.isenabled()
-        gc.disable()
         try:
-            with open(path, "rb") as fh:
-                graph = _read_index(fh.read())
-            return graph.freeze()
+            with cyclic_collector_off(), open(path, "rb") as fh:
+                return _read_index(fh.read()).freeze()
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        finally:
-            if collecting:
-                gc.enable()
+
+
+class cyclic_collector_off:
+    """Switch the cyclic garbage collector off for a `with` block, then restore its state.
+
+    Graph records form no reference cycles, so while a graph is built or
+    loaded the collector would only walk the growing graph again and again
+    (about a quarter of a fresh process's load and a tenth of an index build).
+    Its first collection after the block still walks the new records once.
+    This is a class, not a generator: a generator would raise StopIteration
+    after switching the collector back on, so that collection would start
+    before the block's caller gets its result.
+    """
+
+    def __enter__(self) -> None:
+        self._collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._collecting:
+            gc.enable()
 
 
 # Header: magic, u32 format version, u8 variant code, u32 node, edge and document counts.

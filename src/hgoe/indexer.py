@@ -18,10 +18,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError, InternalError
-from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant
+from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant, cyclic_collector_off
 from .trec import check_token, open_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every ASCII character the pattern above does not match, mapped to a space.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 CONTEXT_SIM_THRESHOLD = 0.5
 CONTEXT_MAX_NEIGHBOURS = 2
@@ -33,9 +35,17 @@ SIMILARITY_BLOCK_BYTES = 8 << 20
 def tokenize(text: str) -> list[str]:
     """Lowercase unigrams split on any non-alphanumeric character.
 
-    Empty pieces are dropped, duplicates are preserved.
+    Empty pieces are dropped, duplicates are preserved. The tokens are those
+    of `_TOKEN_RE` over the lowered text. An all-ASCII text takes a faster
+    path with the same result: among ASCII characters the pattern matches
+    exactly the letters and digits, so mapping every other one to a space and
+    splitting on whitespace leaves the same runs. Any other text keeps the
+    pattern, as the table maps ASCII separators only.
     """
-    return _TOKEN_RE.findall(text.lower())
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(lowered)
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,9 @@ def index_corpus(
     variant additionally applies the synonym lexicon and the embedding
     neighbourhoods, and the weighted variant computes node and edge weights
     on top of that. Enriched variants require both resources.
+
+    The cyclic garbage collector is off for the whole build, freeze included,
+    and is restored as it was found, also when the build raises.
     """
     variant = Variant(variant)
     if variant is not Variant.BASE:
@@ -173,35 +186,36 @@ def index_corpus(
             raise ConfigError(f"variant {variant.value} requires a synonym lexicon")
         if embeddings is None:
             raise ConfigError(f"variant {variant.value} requires an embedding table")
-    graph = Hypergraph(variant)
-    # A linked entity's name terms and ContainedIn edge are made on its first
-    # link; a later link would find both already there.
-    named: set[int] = set()
-    for doc in documents:
-        terms = list(dict.fromkeys(tokenize(doc.text)))
-        entities = list(dict.fromkeys(doc.links))
-        if not terms and not entities:
-            raise InputError(f"document {doc.doc_id!r} yields no nodes")
-        term_ids = graph.upsert_nodes(NodeKind.TERM, terms)
-        entity_ids = graph.upsert_nodes(NodeKind.ENTITY, entities)
-        graph.add_edge(EdgeKind.DOCUMENT, members=term_ids + entity_ids, doc_id=doc.doc_id)
-        for entity, entity_id in zip(entities, entity_ids):
-            if entity_id in named:
-                continue
-            named.add(entity_id)
-            name_terms = list(dict.fromkeys(tokenize(entity)))
-            if not name_terms:
-                raise InputError(f"entity name {entity!r} has no tokens")
-            name_ids = graph.upsert_nodes(NodeKind.TERM, name_terms)
-            graph.add_edge(EdgeKind.CONTAINED_IN, tail=name_ids, head=[entity_id])
-        if len(entity_ids) >= 2:
-            graph.add_edge(EdgeKind.RELATED_TO, members=entity_ids)
-    if variant is not Variant.BASE:
-        extend_synonyms(graph, lexicon)
-        context_sims = extend_context(graph, embeddings)
-        if variant is Variant.WEIGHTED:
-            compute_weights(graph, context_sims)
-    return graph.freeze()
+    with cyclic_collector_off():
+        graph = Hypergraph(variant)
+        # A linked entity's name terms and ContainedIn edge are made on its
+        # first link; a later link would find both already there.
+        named: set[int] = set()
+        for doc in documents:
+            terms = list(dict.fromkeys(tokenize(doc.text)))
+            entities = list(dict.fromkeys(doc.links))
+            if not terms and not entities:
+                raise InputError(f"document {doc.doc_id!r} yields no nodes")
+            term_ids = graph.upsert_nodes(NodeKind.TERM, terms)
+            entity_ids = graph.upsert_nodes(NodeKind.ENTITY, entities)
+            graph.add_edge(EdgeKind.DOCUMENT, members=term_ids + entity_ids, doc_id=doc.doc_id)
+            for entity, entity_id in zip(entities, entity_ids):
+                if entity_id in named:
+                    continue
+                named.add(entity_id)
+                name_terms = list(dict.fromkeys(tokenize(entity)))
+                if not name_terms:
+                    raise InputError(f"entity name {entity!r} has no tokens")
+                name_ids = graph.upsert_nodes(NodeKind.TERM, name_terms)
+                graph.add_edge(EdgeKind.CONTAINED_IN, tail=name_ids, head=[entity_id])
+            if len(entity_ids) >= 2:
+                graph.add_edge(EdgeKind.RELATED_TO, members=entity_ids)
+        if variant is not Variant.BASE:
+            extend_synonyms(graph, lexicon)
+            context_sims = extend_context(graph, embeddings)
+            if variant is Variant.WEIGHTED:
+                compute_weights(graph, context_sims)
+        return graph.freeze()
 
 
 def extend_synonyms(graph: Hypergraph, lexicon: Iterable[Sequence[str]]) -> int:

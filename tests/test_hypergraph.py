@@ -25,6 +25,7 @@ from hgoe import (
     Variant,
     index_corpus,
     random_walk,
+    tokenize,
 )
 from hgoe import hypergraph
 from hgoe.ranking import make_stream
@@ -437,6 +438,18 @@ def test_unweighted_freeze_rejects_any_weight(variant, what):
         g.freeze()
 
 
+def test_save_refuses_an_unfrozen_graph_and_writes_no_file(tmp_path):
+    # Unfrozen, this weight escapes the check freeze makes, and the file
+    # would hold a node weights section that load rejects.
+    g, a, b, c, e = small_graph()
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    g.nodes[0].weight = 0.5
+    path = tmp_path / "g.hgoe"
+    with pytest.raises(InvariantError, match="^graph must be frozen before saving$"):
+        g.save(str(path))
+    assert not path.exists()
+
+
 def test_round_trip_preserves_everything(tmp_path):
     rng = np.random.default_rng(11)
     graph, _ = graphgen.random_graph(rng, Variant.WEIGHTED)
@@ -558,6 +571,7 @@ def _repeated_member(graph):
 def test_load_rejects_records_add_edge_cannot_make(tmp_path, corrupt, message):
     g, a, b, c, e = small_graph()
     g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    g.freeze()
     corrupt(g)
     path = tmp_path / "g.hgoe"
     g.save(str(path))
@@ -590,6 +604,7 @@ def test_load_rejects_a_record_that_repeats_an_earlier_one(tmp_path, corrupt, me
     g.add_edge(EdgeKind.DOCUMENT, members=[b, c], doc_id="d2")
     g.add_edge(EdgeKind.SYNONYM, members=[a, b])
     g.add_edge(EdgeKind.SYNONYM, members=[a, c])
+    g.freeze()
     path = tmp_path / "g.hgoe"
     g.save(str(path))
     Hypergraph.load(str(path))
@@ -645,6 +660,29 @@ def test_load_leaves_the_cyclic_collector_as_it_was(tmp_path):
             assert gc.isenabled() is enabled
             with pytest.raises(FormatError):
                 Hypergraph.load(str(bad))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_index_corpus_leaves_the_cyclic_collector_as_it_was(monkeypatch):
+    seen = []
+
+    def recording_tokenize(text):
+        seen.append(gc.isenabled())
+        return tokenize(text)
+
+    monkeypatch.setattr("hgoe.indexer.tokenize", recording_tokenize)
+    docs = [CorpusDocument("d1", "alpha beta", ("Place",)), CorpusDocument("d2", "beta gamma")]
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            index_corpus(docs)
+            assert seen and not any(seen)  # off during the build
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError, match="yields no nodes"):
+                index_corpus([CorpusDocument("d1", "!!!")])
             assert gc.isenabled() is enabled
     finally:
         gc.enable()

@@ -60,6 +60,31 @@ def test_tokenize_empty():
     assert tokenize(" .,;! ") == []
 
 
+def _regex_tokens(text):
+    return indexer._TOKEN_RE.findall(text.lower())
+
+
+def test_tokenize_matches_the_pattern_on_every_ascii_character():
+    for char in map(chr, range(128)):
+        for text in (char, f"ab{char}cd", f"{char}x{char}"):
+            assert tokenize(text) == _regex_tokens(text), repr(text)
+
+
+@given(st.text(st.characters(max_codepoint=127), max_size=80))
+def test_tokenize_matches_the_pattern_on_ascii_text(text):
+    assert tokenize(text) == _regex_tokens(text)
+
+
+@pytest.mark.parametrize("text", ["Café naïve", "x\u00a0y", "\u01c5", "\u0663\u0664", "a_\u212a b",
+                                  "naïve\u2014café «x»"])
+def test_tokenize_matches_the_pattern_on_non_ascii_text(text):
+    # a no-break space, a titlecase digraph, Arabic-Indic digits, the Kelvin
+    # sign, which lowers to an ASCII "k" and so takes the ASCII path, and
+    # separators outside ASCII, which str.split alone would keep in a token
+    assert tokenize(text) == _regex_tokens(text)
+    assert tokenize(text)
+
+
 @given(st.text(max_size=80))
 def test_tokenize_properties(text):
     tokens = tokenize(text)

@@ -2,9 +2,9 @@
 
 perfbench/workload.py calls and wraps functions of hgoe.cli by name
 (run_timed, rws, load_corpus, load_synonyms, load_embeddings, index_corpus),
-so a change to the CLI's bindings shows here. The unfatigued runs also check
-that their walks went through ranking.random_walk, the binding the tracer
-wraps for the per-layer walk metrics. Each workload's checks compare
+so a change to the CLI's bindings shows here. Every run also checks that its
+walks went through ranking.random_walk, the binding the tracer wraps for the
+per-layer walk metrics, fatigued or not. Each workload's checks compare
 the engine with the reference walker: zipf-walk sends the unfatigued walk
 through them, weighted-ingest the weighted sampler and zipf-fatigue the
 fatigue windows. The smoke size takes a few seconds per workload.
@@ -35,7 +35,9 @@ def _smoke(workload: str) -> dict:
 
 
 def test_traced_smoke_run_is_correct():
-    _smoke("zipf-fatigue")
+    metrics = _smoke("zipf-fatigue")
+    assert metrics["ranking.steps"] > 0
+    assert 0 < metrics["ranking.steps_per_budget"] <= 1
 
 
 @pytest.mark.parametrize("workload", ["zipf-walk", "weighted-ingest"])
