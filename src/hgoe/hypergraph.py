@@ -17,9 +17,8 @@ ContainedIn edges (`contained_in`), which seed mapping reads.
 Three walk tables are derived from the frozen graph and filled on first
 use, not at freeze: per node, the running sums of its out-edge weights
 (`out_weight_sums`) and the positions of its out-edges ordered by target
-count, with those counts (`out_edges_by_targets`); per edge, one packed
-array of its target weights, their running sums and the totals of the
-other targets (`target_table`).
+count, with those counts (`out_edges_by_targets`); per edge and source,
+the running sums of the other targets' weights (`other_target_sums`).
 They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
@@ -55,7 +54,8 @@ the node and edge records and their indexes directly, with no `add_edge`
 replay, rejects a node, doc id or edge that repeats an earlier one, and
 freezes the graph. Every check `add_edge` or `freeze` would make holds
 before `freeze` runs, so the loader builds each edge's key once, for its
-repeat check, and keeps none for `freeze` to check again. An index loads as
+repeat check, and keeps none; `freeze` checks the keys, the document count
+and the weights only of a graph built by `add_edge`. An index loads as
 exactly the graph that saves back to the same bytes. A malformed file
 raises FormatError naming the file, the section and the byte offset of the
 first bad item.
@@ -167,7 +167,7 @@ class Hypergraph:
         self._contained_in: dict[int, tuple[int, ...]] = {}
         # derived walk tables, filled on first use
         self.weight_sums: dict[int, array] = {}  # see out_weight_sums
-        self.target_tables: dict[int, array] = {}  # see target_table
+        self.target_sums: dict[tuple[int, int], array] = {}  # see other_target_sums
         self._by_targets: dict[int, tuple[array, array]] = {}  # see out_edges_by_targets
 
     # -- construction -----------------------------------------------------
@@ -332,26 +332,21 @@ class Hypergraph:
             sums = self.weight_sums[node_id] = array("d", list(accumulate(weights)))
         return sums
 
-    def target_table(self, edge_id: int) -> array:
-        """One array over the n targets of edges[edge_id], filled on first use.
+    def other_target_sums(self, edge_id: int, source: int) -> array:
+        """Running sums of the weights of the targets of edges[edge_id] other than source.
 
-        Items 0..n-1 are the target weights in target order and n..2n-1
-        their running sums, added as `accumulate` adds them. Item 2n + i is
-        the total weight of the targets other than the one at i, 0.0 until
-        a walk first adds the weights after i, one at a time, onto the sum
-        before i; every weight is above 0, so a total is never 0.0. Walks
-        read `target_tables` with `get` and call this on a miss.
+        Filled on first use, one array per (edge, source): the floats
+        `accumulate` gives over those weights in target order. Walks read
+        `target_sums` with `get` and call this on a miss.
         """
-        table = self.target_tables.get(edge_id)
-        if table is None:
+        sums = self.target_sums.get((edge_id, source))
+        if sums is None:
             if not self._frozen:
                 raise InvariantError("graph must be frozen before walking")
             nodes = self.nodes
-            weights = [nodes[t].weight for t in self.edges[edge_id].targets]
-            table = self.target_tables[edge_id] = array(
-                "d", weights + list(accumulate(weights)) + [0.0] * len(weights)
-            )
-        return table
+            weights = (nodes[t].weight for t in self.edges[edge_id].targets if t != source)
+            sums = self.target_sums[edge_id, source] = array("d", list(accumulate(weights)))
+        return sums
 
     def out_edges_by_targets(self, node_id: int) -> tuple[array, array]:
         """Positions in out_edges(node_id) ordered by target count, and those counts.
@@ -392,17 +387,19 @@ class Hypergraph:
             if edge.tail or len(edge.members) > 1:
                 for n in edge.tail or edge.members:
                     out_edges[n].append(edge.edge_id)
-        if doc_edges != len(self._doc_edges):
-            raise InvariantError("document count does not match Document edges")
-        weighted = self.variant is Variant.WEIGHTED
-        for what, records in (("node", self.nodes), ("edge", self.edges)):
-            for i, record in enumerate(records):
-                weight = record.weight
-                if (weight is not None) != weighted:
-                    raise InvariantError(f"{what} {i} {'has no' if weighted else 'has a'} "
-                                         f"weight in a {self.variant.value} graph")
-                if weighted and not 0.0 < weight <= 1.0:
-                    raise InvariantError(f"{what} {i} weight {weight} outside (0, 1]")
+        # a loaded graph has no keys: the loader checked its document count and weights whole
+        if keys is not None:
+            if doc_edges != len(self._doc_edges):
+                raise InvariantError("document count does not match Document edges")
+            weighted = self.variant is Variant.WEIGHTED
+            for what, records in (("node", self.nodes), ("edge", self.edges)):
+                for i, record in enumerate(records):
+                    weight = record.weight
+                    if (weight is not None) != weighted:
+                        raise InvariantError(f"{what} {i} {'has no' if weighted else 'has a'} "
+                                             f"weight in a {self.variant.value} graph")
+                    if weighted and not 0.0 < weight <= 1.0:
+                        raise InvariantError(f"{what} {i} weight {weight} outside (0, 1]")
         # Each list gives way to its tuple at once, so the lists and the
         # tuples of every node are never all alive together.
         for node_id, ids in enumerate(out_edges):
@@ -531,7 +528,7 @@ def _read_index(data: bytes) -> Hypergraph:
     Every section is checked before the first record is built, and the
     records for repeats once they are, so the graph `freeze` receives
     already satisfies every rule it checks; it keeps no edge keys, and
-    `freeze` checks none.
+    `freeze` checks none of its records again.
     """
     if data[:4] != FORMAT_MAGIC:
         raise FormatError(f"bad magic bytes {data[:4]!r} at offset 0, expected {FORMAT_MAGIC!r}")

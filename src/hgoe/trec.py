@@ -49,8 +49,9 @@ def write_run(
     read_run splits lines on whitespace, so unless the tag and every id are
     one whitespace-free token, InputError is raised before any line is
     written and before a path is opened: a file already there is kept.
-    The readers reject such ids, but an index saved before they did can
-    still hold a doc id with whitespace.
+    The corpus and topic readers reject such ids, but `index_corpus` accepts
+    any CorpusDocument, and none of `add_edge`, `save` and `load` requires a
+    doc id to be one token, so an index can hold a doc id with whitespace.
     """
     fields = [("run tag", tag), *(("topic id", topic_id) for topic_id in run)]
     fields += (("doc id", doc_id) for entries in run.values() for doc_id, _ in entries)

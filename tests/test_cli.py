@@ -221,8 +221,8 @@ def test_search_writes_no_run_file_its_own_evaluate_cannot_read(workspace, capsy
     """An id or a tag a run line cannot hold is an error, and an earlier --out file stays.
 
     The readers and the tag check reject such values before any walk; an
-    index saved before the corpus reader checked doc ids can still hold one,
-    and the run is rejected before --out is opened.
+    index built by index_corpus can still hold such a doc id, and the run
+    is rejected before --out is opened.
     """
     spaced_corpus = workspace / "spaced.jsonl"
     spaced_corpus.write_text(
@@ -230,9 +230,9 @@ def test_search_writes_no_run_file_its_own_evaluate_cannot_read(workspace, capsy
     )
     spaced_topics = workspace / "spaced.tsv"
     spaced_topics.write_text("q1\tsolar\nq 2\tsolar\n", encoding="utf-8")
-    old_index = workspace / "old.hgoe"
+    spaced_index = workspace / "spaced.hgoe"
     documents = [CorpusDocument("doc 1", "solar panels", ()), CorpusDocument("d2", "solar cells", ())]
-    index_corpus(documents, Variant.BASE).save(str(old_index))
+    index_corpus(documents, Variant.BASE).save(str(spaced_index))
     corpus, topics = str(workspace / "corpus.jsonl"), str(workspace / "topics.tsv")
     run = workspace / "run.txt"
     run.write_text("an earlier run\n", encoding="utf-8")
@@ -254,7 +254,7 @@ def test_search_writes_no_run_file_its_own_evaluate_cannot_read(workspace, capsy
         assert capsys.readouterr().err == f"error: {bad}: it is not one token\n"
         assert run.read_text(encoding="utf-8") == "an earlier run\n"
     assert not walked
-    code = cli.main(["search", "--index", str(old_index), "--topics", topics,
+    code = cli.main(["search", "--index", str(spaced_index), "--topics", topics,
                      "--repeats", "50", "--out", str(run)])
     assert code == 2
     assert capsys.readouterr().err == (
