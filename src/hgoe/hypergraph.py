@@ -17,8 +17,9 @@ ContainedIn edges (`contained_in`), which seed mapping reads.
 Three walk tables are derived from the frozen graph and filled on first
 use, not at freeze: per node, the running sums of its out-edge weights
 (`out_weight_sums`) and the positions of its out-edges ordered by target
-count, with those counts (`out_edges_by_targets`); per edge and source,
-the running sums of the other targets' weights (`other_target_sums`).
+count, with those counts (`out_edges_by_targets`); per edge, one packed
+array of its target weights, their running sums and the totals of the
+other targets (`target_table`).
 They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
@@ -167,7 +168,7 @@ class Hypergraph:
         self._contained_in: dict[int, tuple[int, ...]] = {}
         # derived walk tables, filled on first use
         self.weight_sums: dict[int, array] = {}  # see out_weight_sums
-        self.target_sums: dict[tuple[int, int], array] = {}  # see other_target_sums
+        self.target_tables: dict[int, array] = {}  # see target_table
         self._by_targets: dict[int, tuple[array, array]] = {}  # see out_edges_by_targets
 
     # -- construction -----------------------------------------------------
@@ -332,21 +333,26 @@ class Hypergraph:
             sums = self.weight_sums[node_id] = array("d", list(accumulate(weights)))
         return sums
 
-    def other_target_sums(self, edge_id: int, source: int) -> array:
-        """Running sums of the weights of the targets of edges[edge_id] other than source.
+    def target_table(self, edge_id: int) -> array:
+        """One array over the n targets of edges[edge_id], filled on first use.
 
-        Filled on first use, one array per (edge, source): the floats
-        `accumulate` gives over those weights in target order. Walks read
-        `target_sums` with `get` and call this on a miss.
+        Items 0..n-1 are the target weights in target order and n..2n-1
+        their running sums, added as `accumulate` adds them. Item 2n + i is
+        the total weight of the targets other than the one at i, 0.0 until
+        a walk first adds the weights after i, one at a time, onto the sum
+        before i; every weight is above 0, so a total is never 0.0. Walks
+        read `target_tables` with `get` and call this on a miss.
         """
-        sums = self.target_sums.get((edge_id, source))
-        if sums is None:
+        table = self.target_tables.get(edge_id)
+        if table is None:
             if not self._frozen:
                 raise InvariantError("graph must be frozen before walking")
             nodes = self.nodes
-            weights = (nodes[t].weight for t in self.edges[edge_id].targets if t != source)
-            sums = self.target_sums[edge_id, source] = array("d", list(accumulate(weights)))
-        return sums
+            weights = [nodes[t].weight for t in self.edges[edge_id].targets]
+            table = self.target_tables[edge_id] = array(
+                "d", weights + list(accumulate(weights)) + [0.0] * len(weights)
+            )
+        return table
 
     def out_edges_by_targets(self, node_id: int) -> tuple[array, array]:
         """Positions in out_edges(node_id) ordered by target count, and those counts.

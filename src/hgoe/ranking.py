@@ -34,12 +34,19 @@ steps k over the excluded positions. Unweighted, it draws integers(count);
 weighted, it bisects the running sums of the out-edge weights
 (`Hypergraph.out_weight_sums`) when nothing is excluded, and otherwise
 lists the other out-edges' weights, O(deg).
-With no node fatigued, a weighted step of either loop picks the target by
-one bisection of the running sums of the other targets' weights, cached
-per edge and source (`Hypergraph.other_target_sums`, `_weighted_target`);
-under node fatigue it lists the eligible targets. A node found to have no
-eligible transition goes into `FatigueTable.dead_ends` until the clock
-next ticks, so walks that start from it again end at once, without a draw.
+With no node fatigued, a weighted step of either loop reads the edge's
+target table (`Hypergraph.target_table`, `_weighted_target`): the target
+weights, their running sums and a memo of the other targets' total per
+source position. When the source, found by bisection at position i, is a
+target, the other targets' running sums are the cached sums before i and
+then the weights after i added on to the sum before i: the floats the
+list without the source gives. The first step from i adds them all for
+the total; later ones read it. A draw below the sum before i bisects the
+cached sums, O(log deg); one above it adds the weights after i only
+until a sum exceeds it, and builds no list. Under node fatigue it lists
+the eligible targets. A node found to have no eligible transition goes
+into `FatigueTable.dead_ends` until the clock next ticks, so walks that
+start from it again end at once, without a draw.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -403,23 +410,45 @@ def _weighted_target(graph: Hypergraph, edge_id: int, source: int, u: float) -> 
     """The target a weighted step over edges[edge_id] from source picks for draw u.
 
     It is the pick `_cumulative_pick` makes with u over the weights of the
-    targets other than source, whose `accumulate` list
-    `Hypergraph.other_target_sums` caches; no node is fatigued.
+    targets other than source, read from the edge's target table
+    (`Hypergraph.target_table`) instead of a list; no node is fatigued.
+
+    Targets are sorted, so the source, if it is one, sits at i. The running
+    sums of the other targets' weights are then the cached sums before i,
+    followed by the weights after i added on to sums[i - 1]: the very
+    floats accumulate gives over the list of the other weights. A draw
+    below sums[i - 1] bisects the cached sums; one above adds the weights
+    after i until a sum exceeds it, the index bisect_right finds in that
+    list, clamped to the last of the other targets as _cumulative_pick
+    clamps.
     """
-    sums = graph.target_sums.get((edge_id, source))
-    if sums is None:
-        sums = graph.other_target_sums(edge_id, source)
-    count = len(sums)
-    k = bisect_right(sums, u * sums[-1])
-    if k == count:
-        k -= 1
     edge = graph.edges[edge_id]
     targets = edge.head or edge.members
-    # fewer sums than targets: source is a target, and targets are sorted, so
-    # the k-th other target is targets[k] below source and targets[k + 1] above
-    if count < len(targets) and targets[k] >= source:
-        k += 1
-    return targets[k]
+    n = len(targets)
+    table = graph.target_tables.get(edge_id)
+    if table is None:
+        table = graph.target_table(edge_id)
+    i = bisect_left(targets, source)
+    if i < n and targets[i] == source:
+        before = table[n + i - 1] if i else 0.0
+        total = table[2 * n + i]
+        if not total:
+            total = before
+            for j in range(i + 1, n):
+                total += table[j]
+            table[2 * n + i] = total
+        x = u * total
+        if x < before or i == n - 1:
+            k = bisect_right(table, x, n, n + i) - n
+            return targets[k if k < i else i - 1]
+        running = before
+        for k in range(i + 1, n):
+            running += table[k]
+            if running > x:
+                break
+        return targets[k]
+    k = bisect_right(table, u * table[2 * n - 1], n, 2 * n) - n
+    return targets[k if k < n else n - 1]
 
 
 def _excluded_positions(

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -321,44 +321,40 @@ def test_out_edges_by_targets_orders_out_edge_positions_by_target_count():
     assert contained not in g.out_edges(e)
 
 
-def weighted_doc_and_contained_in():
-    """A weighted graph: a Document edge over terms a, b, c and entity e, and a
-    ContainedIn edge from a and b to e; returns (graph, doc, contained, a, b, c, e)."""
+def test_target_weights_follow_the_targets_and_wait_for_freeze():
     g = Hypergraph(Variant.WEIGHTED)
-    a, b, c = (g.upsert_node(NodeKind.TERM, label) for label in "abc")
+    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
     e = g.upsert_node(NodeKind.ENTITY, "e")
-    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c, e], doc_id="d1")
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
     contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
-    # 1e-16 is lost when added to 1.0, so the sums depend on the order of adding
-    for item, weight in zip((*g.nodes, *g.edges), (1.0, 1e-16, 0.3, 1e-16, 1.0, 1.0)):
+    for item, weight in zip((*g.nodes, *g.edges), (0.5, 0.25, 0.125, 1.0, 1.0)):
         item.weight = weight
-    return g, doc, contained, a, b, c, e
-
-
-def test_other_target_sums_add_the_other_target_weights_in_order():
-    g, doc, contained, a, b, c, e = weighted_doc_and_contained_in()
-    g.freeze()
-    weights = {node.node_id: node.weight for node in g.nodes}
-    # a source first, in the middle of and last in the Document edge
-    for source in (a, b, e):
-        others = [weights[t] for t in (a, b, c, e) if t != source]
-        sums = g.other_target_sums(doc, source)
-        assert sums.typecode == "d"
-        assert list(sums) == list(accumulate(others))
-    # a ContainedIn tail is no target: every head weight counts
-    assert list(g.other_target_sums(contained, a)) == [weights[e]]
-
-
-def test_other_target_sums_are_cached_per_edge_and_source_and_wait_for_freeze():
-    g, doc, contained, a, b, c, e = weighted_doc_and_contained_in()
     with pytest.raises(InvariantError):
-        g.other_target_sums(doc, a)
-    assert g.target_sums == {}
+        g.target_table(doc)
     g.freeze()
-    sums = g.other_target_sums(doc, b)
-    assert g.other_target_sums(doc, b) is sums
-    assert g.target_sums == {(doc, b): sums}
-    assert g.other_target_sums(doc, c) is not sums
+    # the weights come first, in target order
+    assert list(g.target_table(doc))[:3] == [0.5, 0.25, 0.125]
+    assert list(g.target_table(contained))[:1] == [0.125]
+    assert g.target_table(doc) is g.target_table(doc)
+    assert g.target_tables[doc] is g.target_table(doc)
+
+
+def test_target_weight_sums_add_the_target_weights_in_order_and_wait_for_freeze():
+    g = Hypergraph(Variant.WEIGHTED)
+    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
+    e = g.upsert_node(NodeKind.ENTITY, "e")
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
+    for item, weight in zip((*g.nodes, *g.edges), (0.1, 0.2, 0.3, 1.0, 1.0)):
+        item.weight = weight
+    with pytest.raises(InvariantError):
+        g.target_table(doc)
+    g.freeze()
+    # weights, then their running sums, then one unfilled total per target
+    assert list(g.target_table(doc)) == [
+        0.1, 0.2, 0.3, 0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3, 0.0, 0.0, 0.0]
+    assert list(g.target_table(contained)) == [0.3, 0.3, 0.0]
+    assert g.target_table(doc) is g.target_table(doc)
 
 
 def test_source_node_never_a_target():
@@ -424,6 +420,21 @@ def test_weighted_freeze_requires_all_weights():
     g.edges[edge].weight = 0.5
     g.nodes[a].weight = 0.5
     with pytest.raises(InvariantError):
+        g.freeze()
+
+
+@pytest.mark.parametrize("weight", [0.0, 1.5, float("nan")])
+@pytest.mark.parametrize("what", ["node", "edge"])
+def test_weighted_freeze_rejects_a_weight_outside_zero_to_one(what, weight):
+    # the loader checks a file's weights itself; a built graph relies on freeze
+    g = Hypergraph(Variant.WEIGHTED)
+    a = g.upsert_node(NodeKind.TERM, "a")
+    b = g.upsert_node(NodeKind.TERM, "b")
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
+    for item in (*g.nodes, *g.edges):
+        item.weight = 0.5
+    (g.nodes if what == "node" else g.edges)[0].weight = weight
+    with pytest.raises(InvariantError, match=rf"^{what} 0 weight {weight} outside \(0, 1\]$"):
         g.freeze()
 
 

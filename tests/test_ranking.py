@@ -858,23 +858,22 @@ def test_fatigued_loop_walks_a_zero_window_walk_as_the_calm_loop_does(monkeypatc
     assert steps > 1000
 
 
-def test_target_sums_cache_holds_only_the_walked_edge_and_source_pairs(monkeypatch):
+def test_target_sums_cache_holds_only_walked_edges_one_sum_per_target():
     graph, hub = hub_graph(Variant.WEIGHTED)
     walked = set()
-
-    def recorded_walk(graph, start, *args):
-        edges, nodes, steps = random_walk(graph, start, *args)
-        walked.update(zip(edges, [start, *nodes]))
-        return edges, nodes, steps
-
-    monkeypatch.setattr(ranking, "random_walk", recorded_walk)
-    result = rws(graph, "hub leaf000 leaf100", RankingParams(walk_length=3, repeats=200))
+    result = rws(graph, "hub leaf000 leaf100", RankingParams(walk_length=3, repeats=200),
+                 lambda clock, edge_id, target: walked.add(edge_id))
     assert result.total_steps > 1000
-    assert graph.target_sums.keys() == walked
-    assert len({edge_id for edge_id, _ in walked}) < len(graph.edges)
-    for (edge_id, source), sums in graph.target_sums.items():
-        others = [graph.nodes[t].weight for t in graph.edges[edge_id].targets if t != source]
-        assert list(sums) == list(accumulate(others))
+    cache = graph.target_tables
+    assert cache.keys() == walked
+    assert len(walked) < len(graph.edges)
+    for edge_id, table in cache.items():
+        targets = graph.edges[edge_id].targets
+        n = len(targets)
+        # n weights, n running sums, n totals: one sum per target, no more
+        assert len(table) == 3 * n
+        weights = [graph.nodes[t].weight for t in targets]
+        assert list(table[:2 * n]) == weights + list(accumulate(weights))
 
 
 def mixed_weights(rng):
@@ -884,6 +883,30 @@ def mixed_weights(rng):
         special[int(rng.integers(3))] if rng.random() < 0.5 else float(rng.uniform(0.05, 1.0))
         for _ in range(int(rng.integers(2, 41)))
     ]
+
+
+def test_memoised_other_target_totals_add_the_other_weights_in_order():
+    """Each source position's total is the last running sum of the list without it, bit for bit."""
+    rng = np.random.default_rng(91)
+    differs_from_subtraction = 0
+    for _ in range(120):
+        weights = mixed_weights(rng)
+        n = len(weights)
+        graph, terms, tail, entities = weighted_star(weights)
+        table = graph.target_table(graph.doc_edge_id("d"))
+        assert list(table[2 * n:]) == [0.0] * n
+        for i, source in enumerate(terms):
+            one_step(graph, source, 0.5)
+            total = list(accumulate(weights[:i] + weights[i + 1:]))[-1]
+            assert table[2 * n + i] == total
+            differs_from_subtraction += table[2 * n - 1] - weights[i] != total
+            one_step(graph, source, 0.5)  # reads the memo and leaves it as it is
+            assert table[2 * n + i] == total
+        # a step from outside an edge's targets fills none of its totals
+        one_step(graph, tail, 0.5)
+        (contained,) = graph.out_edges(tail)
+        assert list(graph.target_tables[contained][2 * n:]) == [0.0] * n
+    assert differs_from_subtraction > 100
 
 
 def test_weighted_target_scan_picks_what_bisect_right_over_the_re_added_list_picks():
