@@ -51,15 +51,20 @@ nodes and edges carry weights (all of them in a weighted graph, none in
 another), so none of these is stored. Loading checks
 each section whole with numpy (counts, ids in range, strictly ascending
 members, kind rules, the document count, weights in (0, 1]), then builds
-the node and edge records and their indexes directly, with no `add_edge`
-replay, rejects a node, doc id or edge that repeats an earlier one, and
-freezes the graph. Every check `add_edge` or `freeze` would make holds
-before `freeze` runs, so the loader builds each edge's key once, for its
-repeat check, and keeps none; `freeze` checks the keys, the document count
-and the weights only of a graph built by `add_edge`. An index loads as
-exactly the graph that saves back to the same bytes. A malformed file
-raises FormatError naming the file, the section and the byte offset of the
-first bad item.
+the records and their indexes in passes over whole sections, with no
+`add_edge` replay: the nodes and each kind's label table column by column,
+then the edges in one pass that takes each edge's ids in turn from one
+iterator over the members section and one over the heads section, mapped
+to the nodes' own id objects. It rejects a node, doc id or edge that
+repeats an earlier one, and freezes the graph. Document edges carry
+distinct doc ids, so only the other edges are hashed for the repeat check,
+and every edge's full key is built only to name a repeat once one is
+known. Every check `add_edge` or `freeze` would make holds before `freeze`
+runs, so the loader keeps no edge keys; `freeze` checks the keys, the
+document count and the weights only of a graph built by `add_edge`. An
+index loads as exactly the graph that saves back to the same bytes. A
+malformed file raises FormatError naming the file, the section and the
+byte offset of the first bad item.
 """
 from __future__ import annotations
 
@@ -69,7 +74,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -391,8 +396,9 @@ class Hypergraph:
                 for n in edge.tail:
                     contained_in.setdefault(n, []).extend(edge.head)
             if edge.tail or len(edge.members) > 1:
+                edge_id = edge.edge_id
                 for n in edge.tail or edge.members:
-                    out_edges[n].append(edge.edge_id)
+                    out_edges[n].append(edge_id)
         # a loaded graph has no keys: the loader checked its document count and weights whole
         if keys is not None:
             if doc_edges != len(self._doc_edges):
@@ -534,7 +540,10 @@ def _read_index(data: bytes) -> Hypergraph:
     Every section is checked before the first record is built, and the
     records for repeats once they are, so the graph `freeze` receives
     already satisfies every rule it checks; it keeps no edge keys, and
-    `freeze` checks none of its records again.
+    `freeze` checks none of its records again. The records are built in
+    passes over whole sections, with no numpy call per record and no list
+    of a whole id section, whose int objects would lift a load's peak
+    memory well above what the graph keeps.
     """
     if data[:4] != FORMAT_MAGIC:
         raise FormatError(f"bad magic bytes {data[:4]!r} at offset 0, expected {FORMAT_MAGIC!r}")
@@ -601,49 +610,48 @@ def _read_index(data: bytes) -> Hypergraph:
         raise FormatError(f"trailing data at offset {offset}")
 
     graph = Hypergraph(variant)
-    graph.nodes = [
-        Node(node_id, _NODE_KINDS[kind], label, weight)
-        for node_id, (kind, label, weight) in enumerate(zip(
-            node_kinds.items.tolist(), labels,
-            node_weights.items.tolist() if weighted else repeat(None)))
-    ]
-    tables = [graph._node_index[kind] for kind in NodeKind]
-    for node in graph.nodes:
-        tables[node.kind][node.label] = node.node_id
-    if sum(map(len, tables)) < node_count:
+    graph.nodes = list(map(Node, count(), map(_NODE_KINDS.__getitem__, node_kinds.items.tolist()),
+                           labels, node_weights.items.tolist() if weighted else repeat(None)))
+    node_ids = [node.node_id for node in graph.nodes]
+    tables = graph._node_index
+    for kind in NodeKind:
+        of_kind = (node_kinds.items == kind).tolist()
+        tables[kind].update(zip(compress(labels, of_kind), compress(node_ids, of_kind)))
+    if sum(map(len, tables.values())) < node_count:
         _repeated(label_ends, [(node.kind, node.label) for node in graph.nodes], "node")
 
     # Edges hold the nodes' own id objects, as in a graph built by add_edge,
     # not one int object per member.
-    node_id = [node.node_id for node in graph.nodes].__getitem__
+    member_ids = map(node_ids.__getitem__, _u32_items(members))
+    head_ids = map(node_ids.__getitem__, _u32_items(heads))
+    head_sizes = iter(head_counts.tolist())
     doc_id = iter(doc_ids)
     is_directed = _DIRECTED.tolist()
-    member_stops = member_ends.items.tolist()
-    head_stops = head_ends.items.tolist()
-    head_spans = zip([0, *head_stops], head_stops)
-    member_ids, head_ids = members.items, heads.items
-    for edge_id, (kind, start, end, weight) in enumerate(zip(
-            kinds.tolist(), [0, *member_stops], member_stops,
-            edge_weights.items.tolist() if weighted else repeat(None))):
-        first = tuple(map(node_id, member_ids[start:end].tolist()))
-        if is_directed[kind]:
-            head_start, head_end = next(head_spans)
-            head = tuple(map(node_id, head_ids[head_start:head_end].tolist()))
-            undirected, tail = (), first
+    edges = graph.edges
+    # Document edges carry distinct doc ids (checked below), so only the
+    # other edges can repeat; their kind says whether `first` is members or
+    # tail, so kind, first and any head make up their whole key.
+    keys = set()
+    for edge_id, kind, size, weight in zip(
+            count(), map(_EDGE_KINDS.__getitem__, kinds.tolist()), member_counts.tolist(),
+            edge_weights.items.tolist() if weighted else repeat(None)):
+        first = tuple(islice(member_ids, size))
+        if kind is EdgeKind.DOCUMENT:
+            edges.append(Hyperedge(edge_id, kind, first, (), (), next(doc_id), weight))
+        elif is_directed[kind]:
+            head = tuple(islice(head_ids, next(head_sizes)))
+            edges.append(Hyperedge(edge_id, kind, (), first, head, None, weight))
+            keys.add((kind, first, head))
         else:
-            undirected, tail, head = first, (), ()
-        graph.edges.append(Hyperedge(
-            edge_id, _EDGE_KINDS[kind], undirected, tail, head,
-            next(doc_id) if kind == EdgeKind.DOCUMENT else None,
-            weight,
-        ))
+            edges.append(Hyperedge(edge_id, kind, first, (), (), None, weight))
+            keys.add((kind, first))
     graph._doc_edges = {edge.doc_id: edge.edge_id
-                        for edge in graph.edges if edge.doc_id is not None}
+                        for edge in compress(edges, (kinds == EdgeKind.DOCUMENT).tolist())}
     if len(graph._doc_edges) < documents:
         _repeated(doc_id_ends, doc_ids, "doc id")
-    keys = [(edge.kind, edge.members, edge.tail, edge.head, edge.doc_id) for edge in graph.edges]
-    if len(set(keys)) < edge_count:
-        _repeated(edge_kinds, keys, "edge")
+    if len(keys) < edge_count - documents:
+        _repeated(edge_kinds, [(edge.kind, edge.members, edge.tail, edge.head, edge.doc_id)
+                               for edge in edges], "edge")
     graph._edge_index = None
     return graph
 
@@ -706,6 +714,17 @@ def _check_ids(ids: _Section, counts: np.ndarray, kinds: np.ndarray, allowed: np
     ids.reject(~allowed[edge_kinds, node_kinds[values]],
                lambda i: f"node {values[i]} of kind {NodeKind(int(node_kinds[values[i]])).name} "
                          f"in a {EdgeKind(int(edge_kinds[i])).name} edge")
+
+
+def _u32_items(ids: _Section) -> memoryview:
+    """A section's u32 items, which iterate as Python ints with no list and no copy.
+
+    The view reads native unsigned ints; numpy swaps the bytes first on a
+    big-endian machine, and a C unsigned int must be 4 bytes.
+    """
+    if struct.calcsize("I") != 4:
+        raise InvariantError(f"a C unsigned int is {struct.calcsize('I')} bytes here, not 4")
+    return memoryview(ids.items.astype("=u4", copy=False).view(np.uint8)).cast("I")
 
 
 def _repeated(section: _Section, keys: list, what: str) -> None:

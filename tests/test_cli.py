@@ -6,6 +6,7 @@ stdout, timing lines to stderr; these tests also pin the exit code contract:
 """
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -174,6 +175,33 @@ def test_search_from_index_matches_direct_build(workspace, capsys):
     ]) == 0
     from_corpus = capsys.readouterr().out
     assert from_index == from_corpus
+
+
+def test_search_reports_its_setup_time_on_stderr(workspace, capsys):
+    for source in (["--corpus", str(workspace / "corpus.jsonl")],
+                   ["--corpus", str(workspace / "corpus.jsonl"), "--engine", "bm25"]):
+        assert cli.main(["search", *source, "--query", "solar power", "--repeats", "50"]) == 0
+        times = keyvals(capsys.readouterr().err)
+        assert list(times) == ["time.search.setup_ms", "time.search.total_ms", "time.search.avg_ms"]
+        assert float(times["time.search.setup_ms"]) > 0
+
+
+def test_search_freezes_the_collector_once_the_graph_is_ready(workspace, capsys):
+    index = workspace / "g.hgoe"
+    assert cli.main(["index", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(index)]) == 0
+    gc.unfreeze()
+    try:
+        assert gc.get_freeze_count() == 0
+        assert cli.main(["search", "--corpus", str(workspace / "corpus.jsonl"),
+                         "--engine", "bm25", "--query", "solar power"]) == 0
+        assert gc.get_freeze_count() == 0  # only the rws engine freezes
+        for source in (["--index", str(index)], ["--corpus", str(workspace / "corpus.jsonl")]):
+            assert cli.main(["search", *source, "--query", "solar power", "--repeats", "50"]) == 0
+            assert gc.get_freeze_count() > 0, source
+            gc.unfreeze()
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
 
 
 def test_search_topics_to_run_file(workspace, capsys):

@@ -476,6 +476,35 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.structurally_equal(graph)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_loaded_graph_walks_as_built_and_shares_the_node_id_objects(tmp_path, variant):
+    rng = np.random.default_rng(41)
+    graphs = [graphgen.random_graph(rng, variant)[0] for _ in range(6)]
+    # Ints above 256 are not cached, so on this graph `is` tells a member id
+    # the loader shared from one it made afresh.
+    words = [f"w{i:02d}" for i in range(600)]
+    docs = [CorpusDocument(f"d{i}", " ".join(rng.choice(words, size=12)),
+                           tuple(rng.choice(graphgen.ENTITY_NAMES, size=2, replace=False)))
+            for i in range(300)]
+    extras = () if variant is Variant.BASE else (
+        graphgen.random_lexicon(rng), graphgen.random_embeddings(rng))
+    graphs.append(index_corpus(docs, variant, *extras))
+    assert len(graphs[-1].nodes) > 500
+    for i, graph in enumerate(graphs):
+        path = tmp_path / f"g{i}.hgoe"
+        graph.save(str(path))
+        loaded = Hypergraph.load(str(path))
+        assert loaded.structurally_equal(graph)
+        assert loaded.walk_table == graph.walk_table
+        assert loaded._contained_in == graph._contained_in
+        ids = [node.node_id for node in loaded.nodes]
+        for edge in loaded.edges:
+            assert all(n is ids[n] for n in edge.members + edge.tail + edge.head), edge
+        for table in loaded._node_index.values():
+            assert all(n is ids[n] for n in table.values())
+        assert all(e is loaded.edges[e].edge_id for e in loaded._doc_edges.values())
+
+
 @pytest.mark.parametrize("change", [
     lambda g: setattr(g.nodes[-1], "weight", g.nodes[-1].weight / 2),
     lambda g: setattr(g.nodes[0], "label", g.nodes[0].label + "x"),
@@ -629,6 +658,58 @@ def test_load_rejects_a_record_that_repeats_an_earlier_one(tmp_path, corrupt, me
         Hypergraph.load(str(path))
 
 
+def test_load_keeps_edges_that_differ_only_in_doc_id_or_kind(tmp_path, monkeypatch):
+    g, a, b, c, e = small_graph()
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d2")
+    g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    g.add_edge(EdgeKind.CONTEXT, members=[a, b])
+    f = g.upsert_node(NodeKind.ENTITY, "other")
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e])
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[f])
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
+    g.freeze()
+    path = tmp_path / "g.hgoe"
+    g.save(str(path))
+    # No record repeats, so the loader never needs the scan that names one.
+    monkeypatch.setattr(hypergraph, "_repeated", lambda *args: pytest.fail("scanned for a repeat"))
+    loaded = Hypergraph.load(str(path))
+    assert loaded.structurally_equal(g)
+    assert [loaded.doc_edge_id(d) for d in ("d1", "d2")] == [0, 1]
+
+
+def _repeated_synonym(graph):
+    graph.edges[51].members = graph.edges[50].members
+
+
+def _repeated_contained_in(graph):
+    graph.edges[53].tail = graph.edges[52].tail
+
+
+# small_graph plus 50 Document edges, Synonym edges 50, 51 and ContainedIn
+# edges 52, 53: edge kinds start at 69, so edge n is at offset 69 + n.
+@pytest.mark.parametrize("corrupt, message", [
+    (_repeated_synonym, "edge kinds section: edge 51 repeats an earlier edge at offset 120$"),
+    (_repeated_contained_in, "edge kinds section: edge 53 repeats an earlier edge at offset 122$"),
+], ids=["synonym", "contained-in"])
+def test_load_finds_a_repeated_edge_after_the_document_edges(tmp_path, corrupt, message):
+    g, a, b, c, e = small_graph()
+    for i in range(50):
+        g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c, e][i % 3:], doc_id=f"d{i}")
+    g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    g.add_edge(EdgeKind.SYNONYM, members=[a, c])
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e])
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[b], head=[e])
+    g.freeze()
+    path = tmp_path / "g.hgoe"
+    g.save(str(path))
+    Hypergraph.load(str(path))
+    corrupt(g)
+    g.save(str(path))
+    with pytest.raises(FormatError, match=message):
+        Hypergraph.load(str(path))
+
+
 def test_unsupported_version_rejected(tmp_path):
     rng = np.random.default_rng(15)
     graph, _ = graphgen.random_graph(rng, Variant.BASE)
@@ -720,6 +801,33 @@ def test_load_peak_memory_stays_near_what_the_graph_keeps(tmp_path):
     finally:
         tracemalloc.stop()
     assert graph.frozen and len(graph.edges) > 2000
+    assert peak <= 1.3 * retained, (peak, retained)
+
+
+def test_weighted_load_peak_memory_stays_near_what_the_graph_keeps(tmp_path):
+    # The corpus of the base test, weighted and enriched, so that the node
+    # and edge weights and the Synonym and Context edges load too.
+    rng = np.random.default_rng(3)
+    zipf = 1.0 / np.arange(1, 10_001) ** 1.1
+    words = rng.choice(len(zipf), size=(2000, 80), p=zipf / zipf.sum())
+    links = rng.integers(0, 200, size=(2000, 2))
+    docs = [CorpusDocument(f"d{i}", " ".join(f"w{w}" for w in row), tuple(f"Place {e}" for e in pair))
+            for i, (row, pair) in enumerate(zip(words, links))]
+    lexicon = [(f"w{i}", f"w{i + 1}", f"w{i + 2}") for i in range(0, 600, 3)]
+    vectors = rng.normal(size=(400, 8))
+    embeddings = {f"w{i}": v / np.linalg.norm(v) for i, v in enumerate(vectors)}
+    path = tmp_path / "g.hgoe"
+    index_corpus(docs, Variant.WEIGHTED, lexicon, embeddings).save(str(path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = Hypergraph.load(str(path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kinds = {edge.kind for edge in graph.edges}
+    assert graph.frozen and len(graph.edges) > 2000
+    assert {EdgeKind.SYNONYM, EdgeKind.CONTEXT} <= kinds
     assert peak <= 1.3 * retained, (peak, retained)
 
 
