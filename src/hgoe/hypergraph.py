@@ -590,7 +590,8 @@ def _read_index(data: bytes) -> Hypergraph:
     edge_kinds.reject(kinds >= len(EdgeKind), lambda i: f"unknown edge kind {kinds[i]}")
     edge_weights = section("edge weights", "<f8", edge_count if weighted else 0)
     _check_weights(edge_weights)
-    documents = int((kinds == EdgeKind.DOCUMENT).sum())
+    is_document = kinds == EdgeKind.DOCUMENT
+    documents = int(is_document.sum())
     if doc_count != documents:
         raise FormatError(f"document count field says {doc_count} but {documents} "
                           "Document edges found at offset 17")
@@ -646,7 +647,7 @@ def _read_index(data: bytes) -> Hypergraph:
             edges.append(Hyperedge(edge_id, kind, first, (), (), None, weight))
             keys.add((kind, first))
     graph._doc_edges = {edge.doc_id: edge.edge_id
-                        for edge in compress(edges, (kinds == EdgeKind.DOCUMENT).tolist())}
+                        for edge in compress(edges, is_document.tolist())}
     if len(graph._doc_edges) < documents:
         _repeated(doc_id_ends, doc_ids, "doc id")
     if len(keys) < edge_count - documents:
