@@ -53,9 +53,9 @@ each section whole with numpy (counts, ids in range, strictly ascending
 members, kind rules, the document count, weights in (0, 1]), then builds
 the records and their indexes in passes over whole sections, with no
 `add_edge` replay: the nodes and each kind's label table column by column,
-then the edges in one pass that takes each edge's ids in turn from one
-iterator over the members section and one over the heads section, mapped
-to the nodes' own id objects. It rejects a node, doc id or edge that
+then the edges in one pass that takes each edge's member and head tuples
+from batches of whole edges, for which numpy gathers the nodes' own id
+objects from an object array. It rejects a node, doc id or edge that
 repeats an earlier one, and freezes the graph. Document edges carry
 distinct doc ids, so only the other edges are hashed for the repeat check,
 and every edge's full key is built only to name a repeat once one is
@@ -74,8 +74,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import accumulate, chain, compress, count, islice, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -514,6 +514,8 @@ _HEAD_KINDS = np.array([[head is not None and node in head for node in NodeKind]
 _MIN_FIRST = np.array([2 if kind in _PAIRWISE_KINDS else 1 for kind in EdgeKind])
 _NODE_KINDS = tuple(NodeKind)
 _EDGE_KINDS = tuple(EdgeKind)
+# Node ids the loader gathers per batch: 128 KiB of object references.
+_ID_BATCH = 16_384
 
 
 class _Section(NamedTuple):
@@ -541,9 +543,9 @@ def _read_index(data: bytes) -> Hypergraph:
     records for repeats once they are, so the graph `freeze` receives
     already satisfies every rule it checks; it keeps no edge keys, and
     `freeze` checks none of its records again. The records are built in
-    passes over whole sections, with no numpy call per record and no list
-    of a whole id section, whose int objects would lift a load's peak
-    memory well above what the graph keeps.
+    passes over whole sections, with no numpy call per record, no int made
+    per member id and no list of a whole id section, any of which would
+    cost time or lift a load's peak memory above what the graph keeps.
     """
     if data[:4] != FORMAT_MAGIC:
         raise FormatError(f"bad magic bytes {data[:4]!r} at offset 0, expected {FORMAT_MAGIC!r}")
@@ -623,9 +625,9 @@ def _read_index(data: bytes) -> Hypergraph:
 
     # Edges hold the nodes' own id objects, as in a graph built by add_edge,
     # not one int object per member.
-    member_ids = map(node_ids.__getitem__, _u32_items(members))
-    head_ids = map(node_ids.__getitem__, _u32_items(heads))
-    head_sizes = iter(head_counts.tolist())
+    id_objects = np.array(node_ids, dtype=object)
+    firsts = _id_tuples(members, member_ends.items.tolist(), id_objects)
+    head_tuples = _id_tuples(heads, head_ends.items.tolist(), id_objects)
     doc_id = iter(doc_ids)
     is_directed = _DIRECTED.tolist()
     edges = graph.edges
@@ -633,14 +635,13 @@ def _read_index(data: bytes) -> Hypergraph:
     # other edges can repeat; their kind says whether `first` is members or
     # tail, so kind, first and any head make up their whole key.
     keys = set()
-    for edge_id, kind, size, weight in zip(
-            count(), map(_EDGE_KINDS.__getitem__, kinds.tolist()), member_counts.tolist(),
+    for edge_id, kind, first, weight in zip(
+            count(), map(_EDGE_KINDS.__getitem__, kinds.tolist()), firsts,
             edge_weights.items.tolist() if weighted else repeat(None)):
-        first = tuple(islice(member_ids, size))
         if kind is EdgeKind.DOCUMENT:
             edges.append(Hyperedge(edge_id, kind, first, (), (), next(doc_id), weight))
         elif is_directed[kind]:
-            head = tuple(islice(head_ids, next(head_sizes)))
+            head = next(head_tuples)
             edges.append(Hyperedge(edge_id, kind, (), first, head, None, weight))
             keys.add((kind, first, head))
         else:
@@ -717,15 +718,23 @@ def _check_ids(ids: _Section, counts: np.ndarray, kinds: np.ndarray, allowed: np
                          f"in a {EdgeKind(int(edge_kinds[i])).name} edge")
 
 
-def _u32_items(ids: _Section) -> memoryview:
-    """A section's u32 items, which iterate as Python ints with no list and no copy.
+def _id_tuples(ids: _Section, ends: list[int], node_ids: np.ndarray) -> Iterator[tuple]:
+    """The node id objects of each span of `ids`, as a tuple; span k ends at ends[k].
 
-    The view reads native unsigned ints; numpy swaps the bytes first on a
-    big-endian machine, and a C unsigned int must be 4 bytes.
+    numpy gathers the objects from `node_ids`, an object array, for a batch
+    of whole spans at a time: about _ID_BATCH ids, or one larger span. So no
+    int is made per id, and no list of a whole section is held.
     """
-    if struct.calcsize("I") != 4:
-        raise InvariantError(f"a C unsigned int is {struct.calcsize('I')} bytes here, not 4")
-    return memoryview(ids.items.astype("=u4", copy=False).view(np.uint8)).cast("I")
+    batch, base, stop, start = [], 0, 0, 0
+    for end in ends:
+        if end > stop:
+            # The batch ends with the first span that ends _ID_BATCH or more
+            # ids past `start`, or with the last span: this span or a later one.
+            base = start
+            stop = ends[min(bisect_left(ends, start + _ID_BATCH), len(ends) - 1)]
+            batch = node_ids[ids.items[base:stop]].tolist()
+        yield tuple(batch[start - base:end - base])
+        start = end
 
 
 def _repeated(section: _Section, keys: list, what: str) -> None:

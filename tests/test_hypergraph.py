@@ -476,8 +476,12 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.structurally_equal(graph)
 
 
+@pytest.mark.parametrize("id_batch", [1, 5, hypergraph._ID_BATCH])
 @pytest.mark.parametrize("variant", list(Variant))
-def test_a_loaded_graph_walks_as_built_and_shares_the_node_id_objects(tmp_path, variant):
+def test_a_loaded_graph_walks_as_built_and_shares_the_node_id_objects(tmp_path, monkeypatch,
+                                                                       variant, id_batch):
+    # A batch of 1 or 5 ids makes edges span batches and outgrow them.
+    monkeypatch.setattr(hypergraph, "_ID_BATCH", id_batch)
     rng = np.random.default_rng(41)
     graphs = [graphgen.random_graph(rng, variant)[0] for _ in range(6)]
     # Ints above 256 are not cached, so on this graph `is` tells a member id
