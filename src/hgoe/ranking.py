@@ -44,9 +44,10 @@ list without the source gives. The first step from i adds them all for
 the total; later ones read it. A draw below the sum before i bisects the
 cached sums, O(log deg); one above it adds the weights after i only
 until a sum exceeds it, and builds no list. Under node fatigue it lists
-the eligible targets. A node found to have no eligible transition goes
-into `FatigueTable.dead_ends` until the clock next ticks, so walks that
-start from it again end at once, without a draw.
+the eligible targets. A walk that finds no eligible transition ends
+without a draw, so a round of walks (one from every seed) that takes no
+step leaves the clock and the table as it found them: `rws` stops there,
+since every later round would take no step either.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -132,23 +133,17 @@ class FatigueTable:
     a different value and leaves it. Each deque stays in expiry order as
     long as every call of one table passes the same windows, as the walks
     of one ranking do. Each step reads `nodes` and `edges` to rule out
-    out-edges (`_excluded_positions`).
-
-    `dead_ends` holds the nodes a walk found no eligible transition from
-    since the clock last ticked; nothing else changes the table, so they
-    stay dead until the next tick. A walk that starts with both windows 0
-    and the table empty ticks `clock` itself instead of calling
-    `advance`: nothing can expire or enter, and a dead end then has no
-    out-edges at all, so `dead_ends` stays as it is.
+    out-edges (`_excluded_positions`). A walk that starts with both
+    windows 0 and the table empty ticks `clock` itself instead of calling
+    `advance`: nothing can expire or enter.
     """
 
-    __slots__ = ("nodes", "edges", "clock", "dead_ends", "_node_expiries", "_edge_expiries")
+    __slots__ = ("nodes", "edges", "clock", "_node_expiries", "_edge_expiries")
 
     def __init__(self):
         self.nodes: dict[int, int] = {}
         self.edges: dict[int, int] = {}
         self.clock = 0
-        self.dead_ends: set[int] = set()
         self._node_expiries: deque[tuple[int, int]] = deque()
         self._edge_expiries: deque[tuple[int, int]] = deque()
 
@@ -160,7 +155,6 @@ class FatigueTable:
         `delta` subsequent decisions.
         """
         clock = self.clock = self.clock + 1
-        self.dead_ends.clear()
         nodes, expiries = self.nodes, self._node_expiries
         while expiries and expiries[0][0] <= clock:
             expiry, node = expiries.popleft()
@@ -277,16 +271,12 @@ def random_walk(
     """Walk up to `length` steps from `start`, honouring and feeding fatigue.
 
     Returns (visited edge ids, visited node ids, steps taken). The start
-    node is not a visit. The walk ends early when no eligible transition
-    remains. With both windows 0 and the table empty nothing can enter the
-    table during the walk, so every out-edge and every target other than
-    the source stays eligible: this loop checks no fatigue and only ticks
-    the clock. Any other walk runs `_fatigued_walk`.
+    node is not a visit. The walk ends early, without a draw, when no
+    eligible transition remains. With both windows 0 and the table empty
+    nothing can enter the table during the walk, so every out-edge and
+    every target other than the source stays eligible: this loop checks no
+    fatigue and only ticks the clock. Any other walk runs `_fatigued_walk`.
     """
-    # only the start needs the memo: an executed step clears it, except a
-    # zero-window tick, after which it holds only nodes without out-edges
-    if start in fatigue.dead_ends:
-        return [], [], 0
     if params.node_fatigue or params.edge_fatigue or fatigue.nodes or fatigue.edges:
         return _fatigued_walk(graph, start, length, fatigue, params, rng, step_listener)
     weighted = graph.variant is Variant.WEIGHTED
@@ -300,7 +290,6 @@ def random_walk(
     for _ in range(length):
         count = len(out)
         if not count:
-            fatigue.dead_ends.add(current)
             break
         if weighted:
             # as _cumulative_pick over the out-edge weights picks
@@ -360,7 +349,6 @@ def _fatigued_walk(
         excluded = _excluded_positions(graph, out, current, fatigue)
         count = len(out) - len(excluded)
         if not count:
-            fatigue.dead_ends.add(current)
             break
         if not weighted:
             k = rng.integers(count)
@@ -495,7 +483,8 @@ def rws(
     """Random walk score: rank documents by Document-edge visit share.
 
     Seeds are walked repeat-major (for each repeat, every seed in ascending
-    node id order) against one shared fatigue table and one RNG stream. The
+    node id order) against one shared fatigue table and one RNG stream,
+    until the repeats run out or a round of walks takes no step. The
     result is deterministic for identical (graph, query, params).
     """
     if not graph.frozen:
@@ -512,6 +501,7 @@ def rws(
     visit_counts: dict[int, int] = {}
     total_steps = 0
     for _ in range(params.repeats):
+        steps_before = total_steps
         for seed in seed_set.seeds:
             visited_edges, _, steps = random_walk(
                 graph, seed, params.walk_length, fatigue, params, rng, step_listener
@@ -520,6 +510,11 @@ def rws(
             for edge_id in visited_edges:
                 if edges[edge_id].kind is doc:
                     visit_counts[edge_id] = visit_counts.get(edge_id, 0) + 1
+        if total_steps == steps_before:
+            # The clock ticks only on an executed step, so a round that took
+            # no step left the clock and the table as it found them (and drew
+            # nothing): every later round would find the same and do the same.
+            break
     total_visits = sum(visit_counts.values())
     entries = [
         (edges[edge_id].doc_id, count / total_visits)

@@ -63,6 +63,75 @@ def test_bad_config_value_is_a_config_error(workspace, capsys, command, key, val
     assert capsys.readouterr().err.startswith("error:")
 
 
+def sweep_config(workspace, **keys):
+    """A sweep config over the workspace's corpus, topics and qrels, plus `keys`."""
+    config = workspace / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(workspace / "corpus.jsonl"),
+        "topics": str(workspace / "topics.tsv"),
+        "qrels": str(workspace / "qrels.txt"),
+        **keys,
+    }), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"corpus": ', "invalid JSON: "),
+    ('["corpus.jsonl"]', "config must be a JSON object"),
+    ("7", "config must be a JSON object"),
+], ids=["invalid-json", "array", "number"])
+@pytest.mark.parametrize("command", ["index", "sweep"])
+def test_a_config_file_that_is_not_a_json_object_exits_2(workspace, capsys, command, text,
+                                                        message):
+    config = workspace / "config.json"
+    config.write_text(text, encoding="utf-8")
+    assert cli.main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: {message}") and err.count("\n") == 1
+
+
+def test_sweep_takes_a_variants_list_from_its_config(workspace, capsys):
+    (workspace / "lexicon.tsv").write_text("solar\tsun\n", encoding="utf-8")
+    (workspace / "vectors.txt").write_text("2 3\nsolar 1 0 0\nwind 0.9 0.1 0\n",
+                                           encoding="utf-8")
+    config = sweep_config(workspace, variants=["weighted", "base"], repeats=20,
+                          lexicon=str(workspace / "lexicon.tsv"),
+                          embeddings=str(workspace / "vectors.txt"),
+                          node_fatigue_grid=[0], edge_fatigue_grid=[0])
+    assert cli.main(["sweep", "--config", str(config)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[1] for row in rows] == ["variant=weighted", "variant=base"]
+
+
+def test_a_grid_given_as_a_json_number_exits_2(workspace, capsys):
+    config = sweep_config(workspace, node_fatigue_grid=5)
+    assert cli.main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: node fatigue grid must be a comma list or a JSON array\n")
+
+
+def test_sweep_without_qrels_exits_2(workspace, capsys):
+    assert cli.main([
+        "sweep", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "topics.tsv"),
+    ]) == 2
+    assert capsys.readouterr().err == "error: sweep needs --corpus, --topics and --qrels\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--run-a", "run.txt"], "compare needs both --run-a and --run-b"),
+    (["--engine-a", "rws"], "compare needs both --engine-a and --engine-b"),
+    (["--engine-a", "rws", "--engine-b", "bm25", "--topics", "topics.tsv", "-m", "0"],
+     "repetitions must be at least 1"),
+], ids=["run-a-only", "engine-a-only", "no-repetitions"])
+def test_compare_with_a_side_or_a_repetition_missing_exits_2(workspace, capsys, flags,
+                                                             message):
+    flags = [str(workspace / flag) if flag.endswith((".txt", ".tsv")) else flag
+             for flag in flags]
+    assert cli.main(["compare", "--corpus", str(workspace / "corpus.jsonl"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_rejects_config_keys_only_search_has(workspace, capsys):
     # Fatigue is swept through the grids and the tag belongs to search, so
     # sweep must not accept these keys and then run the default grid.

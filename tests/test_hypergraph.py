@@ -211,6 +211,21 @@ def test_kind_constraints():
         g.add_edge(EdgeKind.SYNONYM, members=[a, 99])  # unknown node
 
 
+@pytest.mark.parametrize("kind, edge, message", [
+    (EdgeKind.CONTAINED_IN, dict(members=[0, 1], tail=[2], head=[3]),
+     "an edge is undirected (members) or directed (tail/head), not both"),
+    (EdgeKind.CONTAINED_IN, dict(tail=[0, 1]),
+     "directed edge needs a non-empty tail and a non-empty head"),
+    (EdgeKind.SYNONYM, dict(), "undirected edge needs at least one member"),
+], ids=["members-and-tail", "tail-without-head", "no-members"])
+def test_add_edge_rejects_an_edge_of_no_one_shape(kind, edge, message):
+    g, a, b, c, e = small_graph()
+    with pytest.raises(InputError) as caught:
+        g.add_edge(kind, **edge)
+    assert str(caught.value) == message
+    assert g.edges == []
+
+
 @pytest.mark.parametrize("where", ["members", "tail", "head"])
 @pytest.mark.parametrize("bad, named", [
     ([-1], -1), ([4], 4), ([9, 5], 5), ([-3, -2], -3), ([-2, 7], -2), ([4, -5, 6], -5),
@@ -398,6 +413,15 @@ def test_freeze_detects_tampered_edge(field):
     setattr(g.edges[edge_id], field, value)
     with pytest.raises(InvariantError, match=f"edge {edge_id} was changed"):
         g.freeze()
+
+
+def test_freeze_rejects_a_document_count_its_document_edges_do_not_match():
+    g, a, b, c, e = small_graph()
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
+    g._doc_edges["d2"] = 0  # a second doc id for the one Document edge
+    with pytest.raises(InvariantError) as caught:
+        g.freeze()
+    assert str(caught.value) == "document count does not match Document edges"
 
 
 def test_freeze_rejects_out_of_range_weight():

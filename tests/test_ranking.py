@@ -151,16 +151,14 @@ def test_locked_up_walk_makes_no_draw_until_the_clock_ticks():
     params = RankingParams(node_fatigue=1)
     fatigue, rng = FatigueTable(), make_stream(0, "lock")
     assert random_walk(g, a, 1, fatigue, params, rng) == ([e_ab], [b], 1)
-    # b is fatigued for the next decision, so a has no transition: the first
-    # attempt finds that out, the second reads the memo; neither draws
+    # b is fatigued for the next decision, so a has no transition: each
+    # attempt finds that out and ends without a draw
     for _ in range(2):
         state = rng.bit_generator.state
         assert random_walk(g, a, 3, fatigue, params, rng) == ([], [], 0)
         assert rng.bit_generator.state == state
-        assert fatigue.dead_ends == {a}
-    # a step elsewhere ticks the clock, which ends b's window and the memo
+    # a step elsewhere ticks the clock, which ends b's window
     assert random_walk(g, c, 1, fatigue, params, rng) == ([e_cd], [d], 1)
-    assert fatigue.dead_ends == set()
     assert random_walk(g, a, 1, fatigue, params, rng) == ([e_ab], [b], 1)
 
 
@@ -207,6 +205,114 @@ def test_fatigue_table_is_shared_between_seeds():
     # every later walk starves before stepping
     assert ranking.total_steps == 1
     assert events == [(1, m)]
+
+
+# -- a ranking stops at the first round in which no walk steps -------------------
+
+def walk_every_round(graph, query, params, step_listener=None):
+    """rws without its exit: a random_walk from every seed in every repeat.
+
+    Returns (entries, visit counts, total steps, rounds that took no step).
+    """
+    seeds = map_query_to_seeds(graph, query).seeds
+    if not seeds:
+        return [], {}, 0, 0
+    rng = walk_draws(graph.variant, query, params, len(seeds))
+    fatigue = FatigueTable()
+    counts: dict[int, int] = {}
+    steps = dead_rounds = 0
+    for _ in range(params.repeats):
+        before = steps
+        for seed in seeds:
+            visited, _, taken = random_walk(
+                graph, seed, params.walk_length, fatigue, params, rng, step_listener
+            )
+            steps += taken
+            for edge_id in visited:
+                if graph.edges[edge_id].kind is EdgeKind.DOCUMENT:
+                    counts[edge_id] = counts.get(edge_id, 0) + 1
+        dead_rounds += steps == before
+    total = sum(counts.values())
+    entries = sorted(((graph.edges[e].doc_id, c / total) for e, c in counts.items()),
+                     key=lambda item: (-item[1], item[0]))
+    return entries, counts, steps, dead_rounds
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+@pytest.mark.parametrize("node_fatigue", range(5))
+def test_stopping_at_a_round_without_steps_ranks_as_walking_every_round(variant, node_fatigue):
+    rng = np.random.default_rng(200 + node_fatigue)
+    dead_rounds = 0
+    for edge_fatigue in range(5):
+        for walk_length in range(1, 5):
+            for _ in range(3):
+                graph, _ = graphgen.random_graph(rng, variant)
+                query = graphgen.random_query(rng)
+                params = RankingParams(walk_length=walk_length, repeats=int(rng.integers(1, 30)),
+                                       node_fatigue=node_fatigue, edge_fatigue=edge_fatigue,
+                                       rng_seed=int(rng.integers(100)))
+                events, want_events = [], []
+                got = rws(graph, query, params, lambda *step: events.append(step))
+                *want, dead = walk_every_round(graph, query, params,
+                                               lambda *step: want_events.append(step))
+                assert (got.entries, got.visit_counts, got.total_steps) == tuple(want)
+                assert events == want_events
+                dead_rounds += dead
+    assert dead_rounds > 0
+
+
+def count_walks(monkeypatch):
+    """The list of starts ranking.random_walk is called with from now on."""
+    walk, starts = ranking.random_walk, []
+
+    def counted(graph, start, *rest):
+        starts.append(start)
+        return walk(graph, start, *rest)
+
+    monkeypatch.setattr(ranking, "random_walk", counted)
+    return starts
+
+
+def test_a_ranking_stops_after_the_first_round_without_a_step(monkeypatch):
+    g = Hypergraph()
+    s1 = g.upsert_node(NodeKind.TERM, "s1")
+    m = g.upsert_node(NodeKind.TERM, "mid")
+    s2 = g.upsert_node(NodeKind.TERM, "s2")
+    g.add_edge(EdgeKind.SYNONYM, members=[s1, m])
+    g.add_edge(EdgeKind.SYNONYM, members=[s2, m])
+    g.freeze()
+    starts = count_walks(monkeypatch)
+    params = RankingParams(walk_length=1, repeats=4, node_fatigue=10)
+    result = rws(g, "s1 s2", params)
+    # a round that steps once, then a round without a step, then nothing
+    assert starts == [s1, s2, s1, s2]
+    assert result.total_steps == 1
+
+
+@pytest.mark.parametrize("locked", ["no-out-edges", "edge-fatigued"])
+def test_a_dead_seed_does_not_stop_a_seed_that_still_steps(monkeypatch, locked):
+    g = Hypergraph()
+    dead = g.upsert_node(NodeKind.TERM, "dead")  # the lowest id, so it walks first
+    m = g.upsert_node(NodeKind.TERM, "mid")
+    live = g.upsert_node(NodeKind.TERM, "live")
+    leaves = [g.upsert_node(NodeKind.TERM, f"leaf{i}") for i in range(20)]
+    for leaf in leaves:
+        g.add_edge(EdgeKind.SYNONYM, members=[live, leaf])
+    if locked == "edge-fatigued":
+        # the dead seed's one out-edge stays fatigued for 30 ticks after its first step
+        g.add_edge(EdgeKind.SYNONYM, members=[dead, m])
+        params = RankingParams(walk_length=1, repeats=12, edge_fatigue=30)
+    else:
+        params = RankingParams(walk_length=1, repeats=12)
+    g.freeze()
+    starts = count_walks(monkeypatch)
+    got = rws(g, "dead live", params)
+    assert starts == [dead, live] * params.repeats
+    monkeypatch.undo()
+    *want, dead_rounds = walk_every_round(g, "dead live", params)
+    assert (got.entries, got.visit_counts, got.total_steps) == tuple(want)
+    assert dead_rounds == 0
+    assert got.total_steps == params.repeats + (locked == "edge-fatigued")
 
 
 def test_exact_score_tie_breaks_on_doc_id():
@@ -507,7 +613,6 @@ def test_fatigue_table_memory_stays_bounded(monkeypatch):
 
         def check(clock, edge_id, target):
             table = tables[-1]
-            assert not table.dead_ends  # a tick clears them
             for window, entries, live in (
                 (params["node_fatigue"], table._node_expiries, table.nodes),
                 (params["edge_fatigue"], table._edge_expiries, table.edges),
@@ -750,12 +855,14 @@ def test_weighted_edge_pick_at_the_top_of_the_draw_range_without_fatigue(u):
 
 
 @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
-@pytest.mark.parametrize("fatigued", [(4,), (2,), (4, 2)], ids=["last", "middle", "both"])
+@pytest.mark.parametrize("fatigued", [(), (4,), (2,), (4, 2)], ids=["none", "last", "middle", "both"])
 def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fatigued):
     """The largest draw takes the last eligible out-edge, wherever the excluded ones sit.
 
     The edges are fatigued by `advance`, so the step picks from the weights
-    of the other out-edges and steps past the excluded positions.
+    of the other out-edges and steps past the excluded positions. With none
+    fatigued, the window alone sends the step through `_fatigued_walk`,
+    which bisects the out-edge sums and clamps a draw past the last one.
     """
     g, source, leaves, edges = weighted_fan(FAN_WEIGHTS)
     weights = FAN_WEIGHTS
@@ -796,9 +903,8 @@ def test_zero_windows_keep_a_node_without_out_edges_a_dead_end(variant):
         state = rng.bit_generator.state
         assert random_walk(g, lone, 3, fatigue, RankingParams(), rng) == ([], [], 0)
         assert rng.bit_generator.state == state
-        assert fatigue.dead_ends == {lone}
         assert fatigue.clock == clock
-        # a step elsewhere ticks the clock and leaves the memo: nothing can revive lone
+        # a step elsewhere ticks the clock: nothing can revive lone
         assert random_walk(g, a, 1, fatigue, RankingParams(), rng) == ([e_ab], [b], 1)
 
 
@@ -809,7 +915,6 @@ def test_zero_windows_still_expire_a_table_filled_with_open_windows():
     for t in (table, twin):
         t.advance(e_a, aux1, 2, 2)  # aux1 and e_a blocked until the tick to clock 3
     assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([], [], 0)
-    assert table.dead_ends == {s1}
     seen = []
     got = random_walk(graph, s2, 4, table, RankingParams(), make_stream(0, "x"),
                       lambda clock, edge_id, target: seen.append((clock, edge_id, target)))
@@ -819,8 +924,7 @@ def test_zero_windows_still_expire_a_table_filled_with_open_windows():
         assert clock == twin.clock
     assert [clock for clock, _, _ in seen] == [2, 3, 4, 5]
     assert (table.clock, table.nodes, table.edges) == (twin.clock, twin.nodes, twin.edges) == (5, {}, {})
-    # the tick to clock 3 ended the windows and the memo, so s1 walks again
-    assert table.dead_ends == set()
+    # the tick to clock 3 ended the windows, so s1 walks again
     assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([e_a], [aux1], 1)
 
 
@@ -851,8 +955,7 @@ def test_fatigued_loop_walks_a_zero_window_walk_as_the_calm_loop_does(monkeypatc
                 got = random_walk(graph, start, length, fatigue, RankingParams(), stream,
                                   lambda *step: seen.append(step))
                 assert routed == ([start] if forced else [])
-                walks.append((got, fatigue.clock, fatigue.dead_ends, seen,
-                              stream.bit_generator.state))
+                walks.append((got, fatigue.clock, seen, stream.bit_generator.state))
             assert walks[0] == walks[1]
             steps += walks[0][0][2]
     assert steps > 1000
