@@ -42,13 +42,9 @@ Search = Callable[[str, RankingParams], Ranking]
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and return its exit code.
-
-    `search` and `compare` freeze the collector (gc.freeze) once the rws
-    graph is ready, which moves every object in the process, not only the
-    graph, out of its reach; a caller that runs main in process and goes on
-    afterwards may call gc.unfreeze().
-    """
+    """Run one subcommand and return its exit code. `search` and `compare`
+    call gc.freeze() once the rws graph is ready, which takes every object
+    in the process out of the collector's reach until gc.unfreeze()."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

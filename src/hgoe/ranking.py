@@ -44,10 +44,9 @@ list without the source gives. The first step from i adds them all for
 the total; later ones read it. A draw below the sum before i bisects the
 cached sums, O(log deg); one above it adds the weights after i only
 until a sum exceeds it, and builds no list. Under node fatigue it lists
-the eligible targets. A walk that finds no eligible transition ends
-without a draw, so a round of walks (one from every seed) that takes no
-step leaves the clock and the table as it found them: `rws` stops there,
-since every later round would take no step either.
+the eligible targets. A walk with no eligible transition ends without a
+draw, so `rws` stops at the first round of walks (one from every seed)
+that takes no step: every later round would find the same table.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -511,9 +510,8 @@ def rws(
                 if edges[edge_id].kind is doc:
                     visit_counts[edge_id] = visit_counts.get(edge_id, 0) + 1
         if total_steps == steps_before:
-            # The clock ticks only on an executed step, so a round that took
-            # no step left the clock and the table as it found them (and drew
-            # nothing): every later round would find the same and do the same.
+            # the clock ticks only on an executed step, so a round that took none left
+            # the clock and the table as it found them, and every later round would too
             break
     total_visits = sum(visit_counts.values())
     entries = [

@@ -308,7 +308,6 @@ def test_a_dead_seed_does_not_stop_a_seed_that_still_steps(monkeypatch, locked):
     starts = count_walks(monkeypatch)
     got = rws(g, "dead live", params)
     assert starts == [dead, live] * params.repeats
-    monkeypatch.undo()
     *want, dead_rounds = walk_every_round(g, "dead live", params)
     assert (got.entries, got.visit_counts, got.total_steps) == tuple(want)
     assert dead_rounds == 0
@@ -855,7 +854,8 @@ def test_weighted_edge_pick_at_the_top_of_the_draw_range_without_fatigue(u):
 
 
 @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0], ids=["largest-random", "one"])
-@pytest.mark.parametrize("fatigued", [(), (4,), (2,), (4, 2)], ids=["none", "last", "middle", "both"])
+@pytest.mark.parametrize("fatigued", [(), (4,), (2,), (4, 2)],
+                         ids=["none", "last", "middle", "both"])
 def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fatigued):
     """The largest draw takes the last eligible out-edge, wherever the excluded ones sit.
 
