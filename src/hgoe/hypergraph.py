@@ -24,12 +24,16 @@ They only cache what the edges and nodes already say, so a
 frozen graph stays logically immutable; filling them lazily keeps `freeze`,
 `load` and the memory of a graph that is never walked as they were.
 
-Binary index format (version 5, little-endian). A header is followed by
+Binary index format (version 6, little-endian). A header is followed by
 twelve array sections, each a u32 byte length and then its items; node and
-edge ids are positions in the node and edge sections:
+edge ids are positions in the node and edge sections. The members and heads
+sections hold each node id at the narrowest unsigned width that holds the
+node count less one: 1 byte up to 256 nodes, 2 bytes up to 65,536 and 4
+bytes above that. The width follows from the header's node count, so it is
+not stored.
 
     offset 0: magic bytes "HGOE"
-    u32 format version (= 5)
+    u32 format version (= 6)
     u8  variant code (0 = base, 1 = syns-context, 2 = weighted)
     u32 node count, u32 edge count, u32 document count
     node kinds          u8 per node
@@ -41,9 +45,9 @@ edge ids are positions in the node and edge sections:
     doc id ends         u32 per Document edge
     doc ids             the doc ids, utf-8, end to end
     member ends         u32 per edge: end of its members (tail if directed)
-    members             u32 node ids
+    members             node ids, 1, 2 or 4 bytes each
     head ends           u32 per directed edge
-    heads               u32 node ids
+    heads               node ids, 1, 2 or 4 bytes each
 
 An edge's kind decides whether it is directed (`_KIND_RULES`) and whether
 it has a doc id (Document edges only), and the variant decides whether the
@@ -64,7 +68,8 @@ runs, so the loader keeps no edge keys; `freeze` checks the keys, the
 document count and the weights only of a graph built by `add_edge`. An
 index loads as exactly the graph that saves back to the same bytes. A
 malformed file raises FormatError naming the file, the section and the
-byte offset of the first bad item.
+byte offset of the first bad item. Version 1 to 5 files are rejected with
+a hint to rebuild them with `hgoe index`.
 """
 from __future__ import annotations
 
@@ -82,7 +87,7 @@ import numpy as np
 from .errors import FormatError, InputError, InvariantError
 
 FORMAT_MAGIC = b"HGOE"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 class NodeKind(IntEnum):
@@ -443,6 +448,7 @@ class Hypergraph:
         labels = [node.label.encode("utf-8") for node in nodes]
         doc_ids = [edge.doc_id.encode("utf-8") for edge in edges if edge.doc_id is not None]
         directed = [edge for edge in edges if edge.directed]
+        id_type = _id_type(len(nodes))
         sections = (
             bytes(node.kind for node in nodes),
             _f64(node.weight for node in nodes if node.weight is not None),
@@ -453,9 +459,10 @@ class Hypergraph:
             _ends(doc_ids),
             b"".join(doc_ids),
             _ends(edge.tail or edge.members for edge in edges),
-            _u32(chain.from_iterable(edge.tail or edge.members for edge in edges)),
+            np.fromiter(chain.from_iterable(edge.tail or edge.members for edge in edges),
+                        id_type).tobytes(),
             _ends(edge.head for edge in directed),
-            _u32(chain.from_iterable(edge.head for edge in directed)),
+            np.fromiter(chain.from_iterable(edge.head for edge in directed), id_type).tobytes(),
         )
         out = bytearray(_HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, _VARIANT_CODES[self.variant],
                                      len(nodes), len(edges), self.doc_count))
@@ -563,7 +570,7 @@ def _read_index(data: bytes) -> Hypergraph:
     doc_count = _field(data, 17, "<I", "document count")
     offset = _HEADER.size
 
-    def section(name: str, dtype: str, count: int) -> _Section:
+    def section(name: str, dtype: str | np.dtype, count: int) -> _Section:
         nonlocal offset
         length = _field(data, offset, "<I", f"{name} section length")
         size = count * np.dtype(dtype).itemsize
@@ -602,12 +609,13 @@ def _read_index(data: bytes) -> Hypergraph:
     doc_ids = _strings(doc_id_ends, section("doc ids", "u1", _total(doc_id_ends)))
     member_ends = section("member ends", "<u4", edge_count)
     member_counts = _spans(member_ends, _MIN_FIRST[kinds])
-    members = section("members", "<u4", _total(member_ends))
+    id_type = _id_type(node_count)
+    members = section("members", id_type, _total(member_ends))
     _check_ids(members, member_counts, kinds, _FIRST_KINDS, node_kinds.items)
     directed = _DIRECTED[kinds]
     head_ends = section("head ends", "<u4", int(directed.sum()))
     head_counts = _spans(head_ends, 1)
-    heads = section("heads", "<u4", _total(head_ends))
+    heads = section("heads", id_type, _total(head_ends))
     _check_ids(heads, head_counts, kinds[directed], _HEAD_KINDS, node_kinds.items)
     if offset != len(data):
         raise FormatError(f"trailing data at offset {offset}")
@@ -746,8 +754,9 @@ def _repeated(section: _Section, keys: list, what: str) -> None:
         seen.add(key)
 
 
-def _u32(values: Iterable[int]) -> bytes:
-    return np.fromiter(values, "<u4").tobytes()
+def _id_type(node_count: int) -> np.dtype:
+    """The narrowest unsigned little-endian type that holds every node id: 1, 2 or 4 bytes."""
+    return np.min_scalar_type(max(node_count - 1, 0)).newbyteorder("<")
 
 
 def _f64(values: Iterable[float]) -> bytes:
@@ -756,4 +765,4 @@ def _f64(values: Iterable[float]) -> bytes:
 
 def _ends(sequences: Iterable) -> bytes:
     """u32 end offsets of sequences laid end to end."""
-    return _u32(accumulate(map(len, sequences)))
+    return np.fromiter(accumulate(map(len, sequences)), "<u4").tobytes()

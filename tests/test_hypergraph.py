@@ -634,11 +634,12 @@ def _repeated_member(graph):
 
 
 # Offsets follow the layout in the hypergraph module docstring for small_graph
-# plus one Document edge: label ends start at 37, members at 100.
+# plus one Document edge: label ends start at 37, members at 100, and its
+# 4 nodes take 1-byte ids.
 @pytest.mark.parametrize("corrupt, message", [
     (_empty_label, "label ends section: .* at offset 37$"),
-    (_members_out_of_order, "members section: node id 1 does not exceed .* at offset 104$"),
-    (_repeated_member, "members section: node id 0 does not exceed .* at offset 104$"),
+    (_members_out_of_order, "members section: node id 1 does not exceed .* at offset 101$"),
+    (_repeated_member, "members section: node id 0 does not exceed .* at offset 101$"),
 ], ids=["empty-label", "members-out-of-order", "repeated-member"])
 def test_load_rejects_records_add_edge_cannot_make(tmp_path, corrupt, message):
     g, a, b, c, e = small_graph()
@@ -744,13 +745,69 @@ def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "g.hgoe"
     graph.save(str(path))
     data = bytearray(path.read_bytes())
-    for version in (99, 1, 2, 3, 4):
+    for version in (99, 1, 2, 3, 4, 5):
         data[4] = version  # version field sits right after the magic
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"unsupported format version {version} at offset 4") as err:
             Hypergraph.load(str(path))
         assert str(err.value).startswith(f"{path}: ")
-        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2, 3, 4))
+        assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2, 3, 4, 5))
+
+
+def _width_graph(node_count):
+    """node_count - 1 terms, then one entity; the edges reach the first and the last node."""
+    g = Hypergraph(Variant.BASE)
+    terms = g.upsert_nodes(NodeKind.TERM, [f"t{i}" for i in range(node_count - 1)])
+    last = g.upsert_node(NodeKind.ENTITY, "last")
+    g.add_edge(EdgeKind.DOCUMENT, members=[terms[0], terms[-1], last], doc_id="d1")
+    g.add_edge(EdgeKind.SYNONYM, members=terms[-2:])
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[terms[0], terms[-1]], head=[last])
+    return g.freeze()
+
+
+def _section_spans(data):
+    """(first item offset, byte length) of each array section of an index file."""
+    spans, offset = [], hypergraph._HEADER.size
+    while offset < len(data):
+        length = int.from_bytes(data[offset:offset + 4], "little")
+        spans.append((offset + 4, length))
+        offset += 4 + length
+    return spans
+
+
+MEMBERS, HEADS = 9, 11  # section positions in the module docstring's layout
+
+
+@pytest.mark.parametrize("node_count, width", [(256, 1), (257, 2), (65_536, 2), (65_537, 4)])
+def test_node_ids_take_the_narrowest_width_the_node_count_allows(tmp_path, node_count, width):
+    g = _width_graph(node_count)
+    path, again = tmp_path / "g.hgoe", tmp_path / "again.hgoe"
+    g.save(str(path))
+    data = path.read_bytes()
+    spans = _section_spans(data)
+    assert len(spans) == 12
+    assert spans[MEMBERS][1] == 7 * width  # 3 Document members, 2 Synonym members, 2 tail ids
+    assert spans[HEADS][1] == 1 * width
+    loaded = Hypergraph.load(str(path))
+    assert loaded.structurally_equal(g)
+    assert loaded.walk_table == g.walk_table
+    loaded.save(str(again))
+    assert again.read_bytes() == data
+
+
+# Members item 2 is the Document edge's last member and heads item 0 the
+# ContainedIn head, both node 256; 300 fits in 2 bytes and keeps each edge ascending.
+@pytest.mark.parametrize("section, item, name", [(MEMBERS, 2, "members"), (HEADS, 0, "heads")])
+def test_a_two_byte_id_out_of_range_fails_at_its_offset(tmp_path, section, item, name):
+    path = tmp_path / "g.hgoe"
+    _width_graph(257).save(str(path))
+    data = bytearray(path.read_bytes())
+    offset = _section_spans(data)[section][0] + 2 * item
+    assert int.from_bytes(data[offset:offset + 2], "little") == 256
+    data[offset:offset + 2] = (300).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"{name} section: node id 300 out of range at offset {offset}$"):
+        Hypergraph.load(str(path))
 
 
 def test_the_format_docs_name_the_current_version():
