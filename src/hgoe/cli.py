@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 from . import baseline, evaluation, trec
@@ -27,16 +28,6 @@ from .ranking import Ranking, RankingParams, run_timed, rws
 VARIANT_CHOICES = [v.value for v in Variant]
 ENGINE_CHOICES = ["rws", "tfidf", "bm25"]
 
-# The keys a --config file may hold, shared by index and sweep, each with the
-# value a subcommand gets when neither its flag nor the file sets one.
-_CONFIG_KEYS = {
-    "corpus": None, "variant": Variant.BASE.value, "variants": [Variant.BASE.value],
-    "lexicon": None, "embeddings": None, "topics": None, "qrels": None, "out": None,
-    "length": 2, "repeats": 1000, "rng_seed": 0, "k": 10,
-    "node_fatigue_grid": None, "edge_fatigue_grid": None,
-}
-_INT_CONFIG_KEYS = {"length", "repeats", "rng_seed", "k"}
-
 # A search ranks a query, keeping at most --k entries; baselines ignore params.
 Search = Callable[[str, RankingParams], Ranking]
 
@@ -45,13 +36,36 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code. `search` and `compare`
     call gc.freeze() once the rws graph is ready, which takes every object
     in the process out of the collector's reach until gc.unfreeze()."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(argv)
         return args.handler(args)
     except (HgoeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv, and with --config parse it again over the file's values set as
+    the subcommand's defaults: a flag beats the file, which beats the default."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    path = getattr(args, "config", None)
+    if not path:
+        return args
+    with trec.open_text(path) as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    actions = _config_actions(args.config_parser)
+    unknown = set(config) - set(actions)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    args.config_parser.set_defaults(
+        **{key: _config_value(path, actions[key], value) for key, value in config.items()})
+    return parser.parse_args(argv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,18 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build a hypergraph index from a .jsonl corpus")
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--config", help="JSON file of flag values, keyed by flag; flags win")
     p.add_argument("--corpus", help="corpus .jsonl path")
-    p.add_argument("--variant", choices=VARIANT_CHOICES)
+    p.add_argument("--variant", choices=VARIANT_CHOICES, default=Variant.BASE.value)
     p.add_argument("--lexicon", help="synonym lexicon .tsv (one synset per line)")
     p.add_argument("--embeddings", help="word2vec text embeddings")
     p.add_argument("--out", help="output index path")
-    p.set_defaults(handler=cmd_index)
+    p.set_defaults(handler=cmd_index, config_parser=p)
 
     p = sub.add_parser("search", help="rank documents for one query or a topics file")
     p.add_argument("--index", help="hypergraph index path (rws engine)")
     p.add_argument("--corpus", help="corpus .jsonl (baseline engines, or rws without an index)")
-    p.add_argument("--variant", choices=VARIANT_CHOICES)
+    p.add_argument("--variant", choices=VARIANT_CHOICES, default=Variant.BASE.value)
     p.add_argument("--lexicon")
     p.add_argument("--embeddings")
     p.add_argument("--engine", choices=ENGINE_CHOICES, default="rws")
@@ -94,28 +108,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="grid of fatigue settings over variants, with MAP and timing")
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--config", help="JSON file of flag values, keyed by flag; flags win")
     p.add_argument("--corpus")
-    p.add_argument("--variants", nargs="+", choices=VARIANT_CHOICES)
+    p.add_argument("--variants", nargs="+", choices=VARIANT_CHOICES, default=[Variant.BASE.value])
     p.add_argument("--lexicon")
     p.add_argument("--embeddings")
     p.add_argument("--topics")
     p.add_argument("--qrels")
-    p.add_argument("--length", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--rng-seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--node-fatigue-grid", help="comma list, default 0,10")
-    p.add_argument("--edge-fatigue-grid", help="comma list, default 0,10")
+    _add_walk_flags(p, fatigue=False)
+    p.add_argument("--k", type=int, default=10)
+    for side in ("node", "edge"):
+        p.add_argument(f"--{side}-fatigue-grid", default="0,10", help="comma list, default 0,10",
+                       type=partial(_parse_grid, name=f"{side} fatigue grid"))
     p.add_argument("--out", help="directory for sweep.csv and sweep_timing.csv")
-    p.set_defaults(handler=cmd_sweep)
+    p.set_defaults(handler=cmd_sweep, config_parser=p)
 
     p = sub.add_parser("compare", help="per-topic rank agreement between two runs or systems")
     p.add_argument("--run-a", help="first run file")
     p.add_argument("--run-b", help="second run file")
     p.add_argument("--index", help="hypergraph index (rws sides)")
     p.add_argument("--corpus", help="corpus .jsonl (baseline sides, or rws without an index)")
-    p.add_argument("--variant", choices=VARIANT_CHOICES)
+    p.add_argument("--variant", choices=VARIANT_CHOICES, default=Variant.BASE.value)
     p.add_argument("--lexicon")
     p.add_argument("--embeddings")
     p.add_argument("--topics", help="topics .tsv (system mode)")
@@ -133,51 +146,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_walk_flags(p: argparse.ArgumentParser) -> None:
+def _add_walk_flags(p: argparse.ArgumentParser, fatigue: bool = True) -> None:
+    """The walk flags; sweep takes its fatigue from the grids instead."""
     p.add_argument("--length", type=int, default=2, help="walk length")
     p.add_argument("--repeats", type=int, default=1000, help="walks per seed")
-    p.add_argument("--node-fatigue", type=int, default=0)
-    p.add_argument("--edge-fatigue", type=int, default=0)
+    if fatigue:
+        p.add_argument("--node-fatigue", type=int, default=0)
+        p.add_argument("--edge-fatigue", type=int, default=0)
     p.add_argument("--rng-seed", type=int, default=0)
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill config keys no flag gave from --config, checking every value, else defaults."""
-    config = {}
-    if args.config:
-        with trec.open_text(args.config) as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
-        unknown = set(config) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
-    for key, default in _CONFIG_KEYS.items():
-        if key in config:
-            config[key] = _config_value(args.config, key, config[key])
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, config.get(key, default))
+def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The flags a --config file may set, by key (the dest): all but --help and --config."""
+    return {action.dest: action for action in parser._actions
+            if action.default is not argparse.SUPPRESS and action.dest != "config"}
 
 
-def _config_value(path: str, key: str, value):
-    """A config value as the type its flag parses to; ConfigError if it has none."""
+def _config_value(path: str, action: argparse.Action, value):
+    """A config value as its flag takes it, converted by its type and checked against
+    its choices. A flag without a type takes a string, none takes a JSON float or
+    boolean (`--length 2.7` exits 2), and one with nargs takes a non-empty array."""
+    def convert(item):
+        if isinstance(item, (bool, float)) or action.type is None and not isinstance(item, str):
+            raise TypeError
+        item = action.type(item) if action.type else item
+        if action.choices is not None and item not in action.choices:
+            raise ValueError
+        return item
+
     try:
-        if key in _INT_CONFIG_KEYS:
-            return int(value)
-        if key == "variant":
-            return Variant(value).value
-        if key == "variants" and isinstance(value, list) and value:
-            return [Variant(v).value for v in value]
-        if key.endswith("_grid"):
-            return value  # _parse_grid checks a grid, from the file or from a flag
-        if key != "variants" and isinstance(value, str):
-            return value
-    except (TypeError, ValueError, OverflowError):
+        if not action.nargs:
+            return convert(value)
+        if isinstance(value, list) and value:
+            return [convert(item) for item in value]
+    except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{path}: bad value for {key!r}: {value!r}")
+    raise ConfigError(f"{path}: bad value for {action.dest!r}: {value!r}")
 
 
 def _inputs(args: argparse.Namespace):
@@ -211,7 +215,6 @@ def _read_topics(path: str) -> list[tuple[str, str]]:
 # -- index ------------------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
-    _merge_config(args)
     if not args.corpus:
         raise ConfigError("index needs --corpus")
     if not args.out:
@@ -262,8 +265,7 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
             graph = Hypergraph.load(args.index)
         elif args.corpus:
             documents, lexicon, embeddings = _inputs(args)
-            variant = Variant(args.variant or Variant.BASE.value)
-            graph = index_corpus(documents, variant, lexicon, embeddings)
+            graph = index_corpus(documents, Variant(args.variant), lexicon, embeddings)
         else:
             raise ConfigError("the rws engine needs --index or --corpus")
         # The graph's records form no cycles, yet they sit in the young
@@ -362,8 +364,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # -- sweep --------------------------------------------------------------------
 
 def _parse_grid(value, name: str) -> list[int]:
-    if value is None:
-        return [0, 10]
+    """A grid flag's type: a comma list of integers >= 0, or a JSON array of them."""
     if isinstance(value, str):
         parts = value.split(",")
     elif isinstance(value, list):
@@ -371,7 +372,7 @@ def _parse_grid(value, name: str) -> list[int]:
     else:
         raise ConfigError(f"{name} must be a comma list or a JSON array")
     try:
-        grid = [int(x) for x in parts]
+        grid = [int(str(x)) for x in parts]  # as text, so 2.7 and true are no integers
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must contain integers") from exc
     if not grid or any(x < 0 for x in grid):
@@ -380,14 +381,12 @@ def _parse_grid(value, name: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args)
     if not args.corpus or not args.topics or not args.qrels:
         raise ConfigError("sweep needs --corpus, --topics and --qrels")
     _check_k(args.k)
     variants = [Variant(v) for v in args.variants]
-    nf_grid = _parse_grid(args.node_fatigue_grid, "node fatigue grid")
-    ef_grid = _parse_grid(args.edge_fatigue_grid, "edge fatigue grid")
-    cells = [(nf, ef, _params(args, nf, ef)) for nf in nf_grid for ef in ef_grid]
+    cells = [(nf, ef, _params(args, nf, ef))
+             for nf in args.node_fatigue_grid for ef in args.edge_fatigue_grid]
     _check_out("--out", args.out and f"{args.out}/sweep.csv")
     topics = _read_topics(args.topics)
     qrels = trec.read_qrels(args.qrels)

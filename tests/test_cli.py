@@ -470,6 +470,82 @@ def test_sweep_rejects_bad_grid(workspace, capsys):
     capsys.readouterr()
 
 
+# -- config files --------------------------------------------------------------
+
+def config_actions(command):
+    """The flags of `command` that its --config file may set, by key."""
+    return cli._config_actions(cli._build_parser().parse_args([command]).config_parser)
+
+
+def required_inputs(workspace, command):
+    """Values for the flags `command` needs to run, by config key (sweep walks 20 repeats)."""
+    files = {"corpus": "corpus.jsonl", "lexicon": "lexicon.tsv", "embeddings": "vectors.txt"}
+    if command == "index":
+        return {**{key: str(workspace / name) for key, name in files.items()},
+                "out": str(workspace / "out.hgoe")}
+    files.update(topics="topics.tsv", qrels="qrels.txt")
+    return {**{key: str(workspace / name) for key, name in files.items()},
+            "out": str(workspace), "repeats": 20}
+
+
+def other_value(action, inputs):
+    """A value the flag takes other than its default, as a config file holds it."""
+    if action.choices:
+        choice = next(c for c in action.choices if action.default not in (c, [c]))
+        return [choice] if action.nargs else choice
+    if action.type is int:
+        return 3
+    if action.type is not None:  # a grid, whose type parses a comma list
+        return "0,3"
+    return inputs[action.dest]  # a file or directory
+
+
+def as_flag(action, value):
+    """The command line that gives the flag `value`."""
+    values = value if isinstance(value, list) else [value]
+    return [action.option_strings[-1], *map(str, values)]
+
+
+def run_out(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in ("index", "sweep") for key in config_actions(command)
+])
+def test_a_config_value_runs_as_its_flag_does(workspace, capsys, command, key):
+    actions = config_actions(command)
+    action = actions[key]
+    inputs = required_inputs(workspace, command)
+    value = other_value(action, inputs)
+    assert value != action.default
+    others = [token for other, given in inputs.items() if other != key
+              for token in as_flag(actions[other], given)]
+    config = workspace / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    by_flag = run_out(capsys, [command, *others, *as_flag(action, value)])
+    assert by_flag[0] == 0
+    assert run_out(capsys, [command, *others, "--config", str(config)]) == by_flag
+    if action.default is not None:
+        explicit = run_out(capsys, [command, *others, *as_flag(action, action.default)])
+        assert run_out(capsys, [command, *others]) == explicit
+
+
+def test_a_flag_beats_its_config_value_which_beats_the_default(workspace):
+    # argparse writes a subparser's defaults over a namespace passed in
+    # pre-filled, so the order rests on the config going in as defaults.
+    config = workspace / "config.json"
+    config.write_text(json.dumps({"repeats": 20, "length": 3}), encoding="utf-8")
+    args = cli._parse_args(["sweep", "--config", str(config), "--repeats", "30"])
+    assert (args.repeats, args.length, args.rng_seed) == (30, 3, 0)
+    config.write_text(json.dumps({"variant": "weighted"}), encoding="utf-8")
+    assert cli._parse_args(["index", "--config", str(config)]).variant == "weighted"
+    args = cli._parse_args(["index", "--config", str(config), "--variant", "syns-context"])
+    assert args.variant == "syns-context"
+    assert cli._parse_args(["index"]).variant == "base"
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_two_run_files(workspace, capsys):

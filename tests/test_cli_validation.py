@@ -45,22 +45,24 @@ def test_sweep_with_no_topics_exits_2(workspace, capsys):
     ("index", "variant", "nope"),
     ("sweep", "variants", "base"),
     ("sweep", "repeats", "lots"),
+    ("sweep", "length", 2.7),
+    ("sweep", "repeats", True),
 ])
 def test_bad_config_value_is_a_config_error(workspace, capsys, command, key, value):
+    inputs = {"corpus": str(workspace / "corpus.jsonl"), "out": str(workspace / "out.hgoe")}
+    if command == "sweep":
+        inputs.update(topics=str(workspace / "topics.tsv"), qrels=str(workspace / "qrels.txt"),
+                      out=str(workspace))
     config = workspace / "config.json"
-    config.write_text(json.dumps({
-        "corpus": str(workspace / "corpus.jsonl"),
-        "topics": str(workspace / "topics.tsv"),
-        "qrels": str(workspace / "qrels.txt"),
-        "out": str(workspace / "out.hgoe") if command == "index" else str(workspace),
-        key: value,
-    }), encoding="utf-8")
+    config.write_text(json.dumps({**inputs, key: value}), encoding="utf-8")
     argv = [command, "--config", str(config)]
-    args = cli._build_parser().parse_args(argv)
     with pytest.raises(ConfigError, match=key):
-        args.handler(args)
+        cli._parse_args(argv)
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and repr(key) in err
+    assert not (workspace / "out.hgoe").exists() and not (workspace / "sweep.csv").exists()
 
 
 def sweep_config(workspace, **keys):
@@ -108,6 +110,40 @@ def test_a_grid_given_as_a_json_number_exits_2(workspace, capsys):
     assert cli.main(["sweep", "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
         "error: node fatigue grid must be a comma list or a JSON array\n")
+
+
+@pytest.mark.parametrize("grid", [[2.7], [True], [0, None]], ids=["float", "true", "null"])
+def test_a_grid_of_json_non_integers_exits_2(workspace, capsys, grid):
+    config = sweep_config(workspace, node_fatigue_grid=grid)
+    assert cli.main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: node fatigue grid must contain integers\n"
+
+
+# The keys a sweep config may hold that index has no flag for, each with a
+# value sweep itself would take.
+SWEEP_ONLY = {
+    "variants": ["weighted"], "topics": "topics.tsv", "qrels": "qrels.txt", "length": 3,
+    "repeats": 5, "rng_seed": 1, "k": 3, "node_fatigue_grid": [3], "edge_fatigue_grid": "0,3",
+}
+
+
+@pytest.mark.parametrize("key", SWEEP_ONLY)
+def test_index_rejects_a_config_key_only_sweep_has(workspace, capsys, key):
+    out = workspace / "out.hgoe"
+    config = workspace / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(workspace / "corpus.jsonl"), "out": str(out), key: SWEEP_ONLY[key],
+    }), encoding="utf-8")
+    assert cli.main(["index", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {config}: unknown config keys: [{key!r}]\n")
+    assert not out.exists()
+
+
+def test_sweep_rejects_the_variant_key_only_index_has(workspace, capsys):
+    config = sweep_config(workspace, out=str(workspace), repeats=5, variant="weighted")
+    assert cli.main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {config}: unknown config keys: ['variant']\n")
+    assert not (workspace / "sweep.csv").exists()
 
 
 def test_sweep_without_qrels_exits_2(workspace, capsys):
