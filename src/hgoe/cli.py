@@ -184,9 +184,16 @@ def _config_value(path: str, action: argparse.Action, value):
     raise ConfigError(f"{path}: bad value for {action.dest!r}: {value!r}")
 
 
-def _inputs(args: argparse.Namespace):
-    """The corpus, lexicon and embeddings the flags name; the last two are optional."""
+def _inputs(args: argparse.Namespace, variants: list[Variant]):
+    """The corpus, lexicon and embeddings the flags name; the last two are optional.
+    Base reads neither, so when every one of `variants` is base, neither is opened
+    and one warning on stderr names the flags given."""
     documents = load_corpus(args.corpus)
+    given = [flag for flag, path in (("--lexicon", args.lexicon),
+                                     ("--embeddings", args.embeddings)) if path]
+    if given and all(variant is Variant.BASE for variant in variants):
+        print(f"warning: variant base reads no {' or '.join(given)}; not opened", file=sys.stderr)
+        return documents, None, None
     lexicon = load_synonyms(args.lexicon) if args.lexicon else None
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     return documents, lexicon, embeddings
@@ -222,7 +229,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     _check_out("--out", args.out)
     variant = Variant(args.variant)
     started = time.perf_counter_ns()
-    documents, lexicon, embeddings = _inputs(args)
+    documents, lexicon, embeddings = _inputs(args, [variant])
     graph = index_corpus(documents, variant, lexicon, embeddings)
     graph.save(args.out)
     elapsed_ms = (time.perf_counter_ns() - started) / 1e6
@@ -264,8 +271,9 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         if args.index:
             graph = Hypergraph.load(args.index)
         elif args.corpus:
-            documents, lexicon, embeddings = _inputs(args)
-            graph = index_corpus(documents, Variant(args.variant), lexicon, embeddings)
+            variant = Variant(args.variant)
+            documents, lexicon, embeddings = _inputs(args, [variant])
+            graph = index_corpus(documents, variant, lexicon, embeddings)
         else:
             raise ConfigError("the rws engine needs --index or --corpus")
         # The graph's records form no cycles, yet they sit in the young
@@ -390,7 +398,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_out("--out", args.out and f"{args.out}/sweep.csv")
     topics = _read_topics(args.topics)
     qrels = trec.read_qrels(args.qrels)
-    documents, lexicon, embeddings = _inputs(args)
+    documents, lexicon, embeddings = _inputs(args, variants)
 
     rows = []
     timing_rows = []

@@ -14,15 +14,11 @@ undirected edge reaches any other member; a directed edge is traversed tail
 to head. The same pass records the entities each term reaches over
 ContainedIn edges (`contained_in`), which seed mapping reads.
 
-Three walk tables are derived from the frozen graph and filled on first
-use, not at freeze: per node, the running sums of its out-edge weights
-(`out_weight_sums`) and the positions of its out-edges ordered by target
-count, with those counts (`out_edges_by_targets`); per edge, one packed
-array of its target weights, their running sums and the totals of the
-other targets (`target_table`).
-They only cache what the edges and nodes already say, so a
-frozen graph stays logically immutable; filling them lazily keeps `freeze`,
-`load` and the memory of a graph that is never walked as they were.
+The graph also stores the ranking module's walk caches (`weight_sums`,
+`target_tables`, `by_targets`), which that module fills on first use and
+describes. They repeat what the edges and nodes say, so a frozen graph
+stays logically immutable, and `freeze`, `load` and a graph that is never
+walked leave them empty.
 
 Binary index format (version 6, little-endian). A header is followed by
 twelve array sections, each a u32 byte length and then its items; node and
@@ -176,10 +172,10 @@ class Hypergraph:
         self._frozen = False
         self.walk_table: list[tuple[int, ...]] = []  # see out_edges
         self._contained_in: dict[int, tuple[int, ...]] = {}
-        # derived walk tables, filled on first use
-        self.weight_sums: dict[int, array] = {}  # see out_weight_sums
-        self.target_tables: dict[int, array] = {}  # see target_table
-        self._by_targets: dict[int, tuple[array, array]] = {}  # see out_edges_by_targets
+        # the ranking module's walk caches, kept here to last as long as the graph
+        self.weight_sums: dict[int, array] = {}
+        self.target_tables: dict[int, array] = {}
+        self.by_targets: dict[int, tuple[array, array]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -327,58 +323,6 @@ class Hypergraph:
         if not self._frozen:
             raise InvariantError("graph must be frozen before walking")
         return self._contained_in.get(node_id, ())
-
-    def out_weight_sums(self, node_id: int) -> array:
-        """Running sums of the weights of out_edges(node_id), in that order.
-
-        Filled on first use. The sums are added in out-edge order, so they
-        are the floats `accumulate` gives over a list of those weights. The
-        array is built from a list, so it is allocated at its exact length.
-        Walks read `weight_sums` with `get` and call this on a miss.
-        """
-        sums = self.weight_sums.get(node_id)
-        if sums is None:
-            edges = self.edges
-            weights = (edges[e].weight for e in self.out_edges(node_id))
-            sums = self.weight_sums[node_id] = array("d", list(accumulate(weights)))
-        return sums
-
-    def target_table(self, edge_id: int) -> array:
-        """One array over the n targets of edges[edge_id], filled on first use.
-
-        Items 0..n-1 are the target weights in target order and n..2n-1
-        their running sums, added as `accumulate` adds them. Item 2n + i is
-        the total weight of the targets other than the one at i, 0.0 until
-        a walk first adds the weights after i, one at a time, onto the sum
-        before i; every weight is above 0, so a total is never 0.0. Walks
-        read `target_tables` with `get` and call this on a miss.
-        """
-        table = self.target_tables.get(edge_id)
-        if table is None:
-            if not self._frozen:
-                raise InvariantError("graph must be frozen before walking")
-            nodes = self.nodes
-            weights = [nodes[t].weight for t in self.edges[edge_id].targets]
-            table = self.target_tables[edge_id] = array(
-                "d", weights + list(accumulate(weights)) + [0.0] * len(weights)
-            )
-        return table
-
-    def out_edges_by_targets(self, node_id: int) -> tuple[array, array]:
-        """Positions in out_edges(node_id) ordered by target count, and those counts.
-
-        Filled on first use. The counts ascend, and equal counts keep
-        out-edge order, so the out-edges of at most m targets are at
-        positions[:bisect_right(counts, m)].
-        """
-        found = self._by_targets.get(node_id)
-        if found is None:
-            edges = self.edges
-            counts = [len(edges[e].targets) for e in self.out_edges(node_id)]
-            order = sorted(range(len(counts)), key=counts.__getitem__)
-            found = self._by_targets[node_id] = (
-                array("I", order), array("I", [counts[i] for i in order]))
-        return found
 
     # -- freezing ---------------------------------------------------------
 

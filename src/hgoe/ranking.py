@@ -15,38 +15,42 @@ blocked for exactly the next `delta` sampling decisions, i.e. clocks
 t+1 .. t+delta. The clock advances only when some walker executes a step,
 so a walk that finds no eligible transition ends early without a tick.
 
+Walk tables: walks read each node's out-edges from the graph's
+`walk_table`, and three tables this module derives from the frozen graph.
+Each entry is built on first use (`_out_weight_sums`,
+`_out_edges_by_targets`, `_target_table`) into a dict the graph stores
+for it, so it serves every later ranking of that graph:
+- `weight_sums`, per node: the running sums of its out-edge weights in
+  out-edge order, added as `accumulate` adds them;
+- `by_targets`, per node: the positions of its out-edges ordered by
+  target count, ties in out-edge order, and those counts;
+- `target_tables`, per edge of n targets: one array of the target weights
+  (items 0..n-1), their running sums (n..2n-1) and at 2n + i the total
+  weight of the targets other than the one at i, 0.0 until a walk first
+  needs it (a weight is above 0, so a total never is).
+
 Cost of a step: with both windows 0 and the table empty when a walk
 starts, nothing can enter the table during the walk, so `random_walk`
 runs a loop that rules nothing out and checks no fatigue: it reads the
-node's out-edges from `Hypergraph.walk_table`, draws one (weighted: by
-bisecting the running sums in `Hypergraph.weight_sums`), draws a target
-and only ticks the clock. Any other walk runs `_fatigued_walk`, which
-calls `FatigueTable.advance` after every step, O(1) amortised to expire
-old entries. There an out-edge is ruled out only when it is fatigued or
-every target other than the source is fatigued. With m nodes fatigued,
-the latter needs at most m + 1 targets, so a step reads only the current
-node's out-edges of that size, the first entries of its out-edges
-ordered by target count (`Hypergraph.out_edges_by_targets`), and stops
-at each one's first unfatigued target other than the source. Both
-variants bisect the current node's sorted out-edges for each fatigued
-edge, O(log deg) each. A step picks k among the eligible out-edges and
-steps k over the excluded positions. Unweighted, it draws integers(count);
-weighted, it bisects the running sums of the out-edge weights
-(`Hypergraph.out_weight_sums`) when nothing is excluded, and otherwise
-lists the other out-edges' weights, O(deg).
-With no node fatigued, a weighted step of either loop reads the edge's
-target table (`Hypergraph.target_table`, `_weighted_target`): the target
-weights, their running sums and a memo of the other targets' total per
-source position. When the source, found by bisection at position i, is a
-target, the other targets' running sums are the cached sums before i and
-then the weights after i added on to the sum before i: the floats the
-list without the source gives. The first step from i adds them all for
-the total; later ones read it. A draw below the sum before i bisects the
-cached sums, O(log deg); one above it adds the weights after i only
-until a sum exceeds it, and builds no list. Under node fatigue it lists
-the eligible targets. A walk with no eligible transition ends without a
-draw, so `rws` stops at the first round of walks (one from every seed)
-that takes no step: every later round would find the same table.
+node's out-edges, draws one (weighted: by bisecting `weight_sums`),
+draws a target and only ticks the clock. Any other walk runs
+`_fatigued_walk`, which calls `FatigueTable.advance` after every step,
+O(1) amortised to expire old entries. There an out-edge is ruled out
+only when it is fatigued or every target other than the source is
+fatigued. With m nodes fatigued, the latter needs at most m + 1 targets,
+so a step reads only the first entries of `by_targets`, and stops at
+each one's first unfatigued target other than the source. Both variants
+bisect the current node's sorted out-edges for each fatigued edge,
+O(log deg) each. A step picks k among the eligible out-edges and steps k
+over the excluded positions. Unweighted, it draws integers(count);
+weighted, it bisects `weight_sums` when nothing is excluded, and
+otherwise lists the other out-edges' weights, O(deg). With no node
+fatigued, a weighted step of either loop picks the target from the
+edge's target table, building no list (`_weighted_target`); under node
+fatigue it lists the eligible targets. A walk with no eligible
+transition ends without a draw, so `rws` stops at the first round of
+walks (one from every seed) that takes no step: every later round would
+find the same table.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -56,8 +60,10 @@ unweighted graphs call integers(k) for both stages, the weighted variant
 calls random() and picks against the cumulative weights. A call is not
 always one word of the bit generator: numpy's integers(1) returns 0 and
 reads nothing, and integers(k) redraws a 32-bit word whenever Lemire's
-method rejects it. `rws` reads the stream in blocks (`BlockDraws`) of
-min(draw budget left, 4096) items, one kind per stream: random() from
+method rejects it. `rws` reads the stream in blocks (`BlockDraws`), one
+kind per stream. The first block holds min(draw budget, 1024) items and
+each later one min(draw budget left, 4096), so a ranking that locks up
+after a few steps makes no 4096-item block. random() comes from
 Generator.random(n), integers(k) by numpy's Lemire method over words from
 Generator.integers(0, 2**32, size=n, dtype=uint32). Every call returns
 what the same call on the Generator would, so the values drawn are the
@@ -68,6 +74,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -76,7 +83,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, InvariantError
 from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant
 from .indexer import tokenize
 
@@ -184,6 +191,7 @@ def make_stream(rng_seed: int, query: str) -> np.random.Generator:
 
 
 BLOCK_ITEMS = 4096
+FIRST_BLOCK_ITEMS = 1024  # a ranking that locks up early reads only this far ahead
 _WORDS = 1 << 32
 
 
@@ -192,9 +200,9 @@ class BlockDraws:
 
     `random()` and `integers(k)` return exactly what the same calls on the
     Generator would. A reader serves only the kind it was made for; the
-    other raises InternalError. Each block holds min(budget left, 4096)
-    items, so the budget (the most calls the caller can make) bounds what
-    a short stream reads ahead and 4096 bounds the memory of a long one.
+    other raises InternalError. Of the block sizes (module docstring), the
+    budget (the most calls the caller can make) bounds what a short stream
+    reads ahead, 1024 what one that stops early does, and 4096 the memory.
     """
 
     __slots__ = ("random", "_word")
@@ -228,9 +236,12 @@ class BlockDraws:
 
 
 def _blocks(read: Callable[[int], np.ndarray], budget: int) -> Iterator:
-    """The items of read(n) blocks, n = min(budget left, BLOCK_ITEMS), at least 1."""
-    full, rest = divmod(max(budget, 0), BLOCK_ITEMS)
-    sizes = chain(repeat(BLOCK_ITEMS, full), (rest,) if rest else (), repeat(1))
+    """The items of read(n) blocks: n = min(budget, FIRST_BLOCK_ITEMS, BLOCK_ITEMS)
+    first, then n = min(budget left, BLOCK_ITEMS), and 1 once the budget is spent."""
+    first = min(max(budget, 0), FIRST_BLOCK_ITEMS, BLOCK_ITEMS)
+    full, rest = divmod(max(budget, 0) - first, BLOCK_ITEMS)
+    sizes = chain((first,) if first else (), repeat(BLOCK_ITEMS, full), (rest,) if rest else (),
+                  repeat(1))
     return chain.from_iterable(map(lambda n: read(n).tolist(), sizes))
 
 
@@ -294,7 +305,7 @@ def random_walk(
             # as _cumulative_pick over the out-edge weights picks
             sums = weight_sums.get(current)
             if sums is None:
-                sums = graph.out_weight_sums(current)
+                sums = _out_weight_sums(graph, current)
             k = bisect_right(sums, rng.random() * sums[-1])
             edge_id = out[k if k < count else count - 1]
             target = _weighted_target(graph, edge_id, current, rng.random())
@@ -338,7 +349,6 @@ def _fatigued_walk(
     edges = graph.edges
     nodes = graph.nodes
     out_edges = graph.out_edges
-    out_weight_sums = graph.out_weight_sums
     visited_edges: list[int] = []
     visited_nodes: list[int] = []
     current = start
@@ -358,7 +368,7 @@ def _fatigued_walk(
             k = _cumulative_pick(weights, rng.random())
         else:
             # as _cumulative_pick over the out-edge weights picks
-            sums = out_weight_sums(current)
+            sums = _out_weight_sums(graph, current)
             k = bisect_right(sums, rng.random() * sums[-1])
             if k == count:
                 k -= 1
@@ -398,12 +408,13 @@ def _weighted_target(graph: Hypergraph, edge_id: int, source: int, u: float) -> 
 
     It is the pick `_cumulative_pick` makes with u over the weights of the
     targets other than source, read from the edge's target table
-    (`Hypergraph.target_table`) instead of a list; no node is fatigued.
+    (`_target_table`) instead of a list; no node is fatigued.
 
     Targets are sorted, so the source, if it is one, sits at i. The running
     sums of the other targets' weights are then the cached sums before i,
     followed by the weights after i added on to sums[i - 1]: the very
-    floats accumulate gives over the list of the other weights. A draw
+    floats accumulate gives over the list of the other weights. Their
+    total is added on the first step from i and kept at item 2n + i. A draw
     below sums[i - 1] bisects the cached sums; one above adds the weights
     after i until a sum exceeds it, the index bisect_right finds in that
     list, clamped to the last of the other targets as _cumulative_pick
@@ -414,7 +425,7 @@ def _weighted_target(graph: Hypergraph, edge_id: int, source: int, u: float) -> 
     n = len(targets)
     table = graph.target_tables.get(edge_id)
     if table is None:
-        table = graph.target_table(edge_id)
+        table = _target_table(graph, edge_id)
     i = bisect_left(targets, source)
     if i < n and targets[i] == source:
         before = table[n + i - 1] if i else 0.0
@@ -447,7 +458,7 @@ def _excluded_positions(
     use it. An out-edge is ruled out when it is fatigued, or when every
     target other than source is fatigued. With m nodes fatigued, only an
     out-edge of at most m + 1 targets can lose all of them, and those are
-    the first entries of `Hypergraph.out_edges_by_targets`.
+    the first entries of `_out_edges_by_targets`.
     """
     excluded = set()
     for edge_id in fatigue.edges:
@@ -457,7 +468,7 @@ def _excluded_positions(
     fatigued = fatigue.nodes
     if fatigued:
         edges = graph.edges
-        positions, counts = graph.out_edges_by_targets(source)
+        positions, counts = _out_edges_by_targets(graph, source)
         for i in positions[:bisect_right(counts, len(fatigued) + 1)]:
             for target in edges[out[i]].targets:
                 if target != source and target not in fatigued:
@@ -465,6 +476,42 @@ def _excluded_positions(
             else:
                 excluded.add(i)
     return sorted(excluded)
+
+
+def _out_weight_sums(graph: Hypergraph, node_id: int) -> array:
+    """The out-edge weight sums of node_id, cached on first use (module docstring)."""
+    sums = graph.weight_sums.get(node_id)
+    if sums is None:
+        edges = graph.edges
+        weights = (edges[e].weight for e in graph.out_edges(node_id))
+        # built from a list, so the array is allocated at its exact length
+        sums = graph.weight_sums[node_id] = array("d", list(accumulate(weights)))
+    return sums
+
+
+def _out_edges_by_targets(graph: Hypergraph, node_id: int) -> tuple[array, array]:
+    """The out-edges of node_id by target count, cached on first use (module docstring)."""
+    found = graph.by_targets.get(node_id)
+    if found is None:
+        edges = graph.edges
+        counts = [len(edges[e].targets) for e in graph.out_edges(node_id)]
+        order = sorted(range(len(counts)), key=counts.__getitem__)
+        found = graph.by_targets[node_id] = (
+            array("I", order), array("I", [counts[i] for i in order]))
+    return found
+
+
+def _target_table(graph: Hypergraph, edge_id: int) -> array:
+    """The target table of edges[edge_id], cached on first use (module docstring)."""
+    table = graph.target_tables.get(edge_id)
+    if table is None:
+        if not graph.frozen:
+            raise InvariantError("graph must be frozen before walking")
+        nodes = graph.nodes
+        weights = [nodes[t].weight for t in graph.edges[edge_id].targets]
+        table = graph.target_tables[edge_id] = array(
+            "d", weights + list(accumulate(weights)) + [0.0] * len(weights))
+    return table
 
 
 def _cumulative_pick(weights: Sequence[float], u: float) -> int:

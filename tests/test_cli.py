@@ -546,6 +546,54 @@ def test_a_flag_beats_its_config_value_which_beats_the_default(workspace):
     assert cli._parse_args(["index"]).variant == "base"
 
 
+# -- a lexicon and embeddings that no chosen variant reads -------------------------
+
+def unread_resource_argv(workspace, command):
+    """`command` with every chosen variant base, on the workspace's corpus."""
+    corpus, topics = str(workspace / "corpus.jsonl"), str(workspace / "topics.tsv")
+    return {
+        "index": ["index", "--corpus", corpus, "--out", str(workspace / "base.hgoe")],
+        "search": ["search", "--corpus", corpus, "--topics", topics, "--repeats", "50"],
+        "sweep": ["sweep", "--corpus", corpus, "--topics", topics,
+                  "--qrels", str(workspace / "qrels.txt"), "--variants", "base",
+                  "--repeats", "20", "--node-fatigue-grid", "0", "--edge-fatigue-grid", "0"],
+        "compare": ["compare", "--corpus", corpus, "--topics", topics, "--engine-a", "rws",
+                    "--engine-b", "bm25", "--repeats", "20"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["index", "search", "sweep", "compare"])
+@pytest.mark.parametrize("given", [("--lexicon", "--embeddings"), ("--embeddings",)],
+                         ids=["both", "embeddings"])
+def test_base_opens_no_lexicon_or_embeddings_and_warns_once(workspace, capsys, command, given):
+    argv = unread_resource_argv(workspace, command)
+    index = workspace / "base.hgoe"
+    without = cli.main(argv), capsys.readouterr().out, index.exists() and index.read_bytes()
+    # the files do not exist, so opening either would exit 2
+    code = cli.main([*argv, *(token for flag in given
+                              for token in (flag, str(workspace / f"missing{flag}")))])
+    captured = capsys.readouterr()
+    assert (code, captured.out, index.exists() and index.read_bytes()) == without
+    assert without[0] == 0
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == [
+        f"warning: variant base reads no {' or '.join(given)}; not opened"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--variant", "syns-context", "--out", "x.hgoe"],
+    ["sweep", "--variants", "base", "weighted", "--topics", "topics.tsv", "--qrels", "qrels.txt"],
+])
+def test_an_enriched_variant_still_opens_the_lexicon(workspace, capsys, argv):
+    missing = workspace / "no-lexicon.tsv"
+    argv = [str(workspace / value) if value.endswith((".hgoe", ".tsv", ".txt")) else value
+            for value in argv]
+    assert cli.main([*argv, "--corpus", str(workspace / "corpus.jsonl"),
+                     "--lexicon", str(missing),
+                     "--embeddings", str(workspace / "vectors.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err and "warning" not in err
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_two_run_files(workspace, capsys):

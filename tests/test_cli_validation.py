@@ -208,8 +208,10 @@ def test_non_utf8_input_names_its_file(workspace, capsys, reader):
         str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "x.hgoe")
     )
     argv = {
-        "lexicon": ["index", "--corpus", corpus, "--lexicon", str(bad), "--out", out],
-        "embeddings": ["index", "--corpus", corpus, "--embeddings", str(bad), "--out", out],
+        "lexicon": ["index", "--corpus", corpus, "--variant", "syns-context",
+                    "--lexicon", str(bad), "--out", out],
+        "embeddings": ["index", "--corpus", corpus, "--variant", "syns-context",
+                       "--embeddings", str(bad), "--out", out],
         "topics": ["search", "--corpus", corpus, "--topics", str(bad)],
         "qrels": ["sweep", "--corpus", corpus, "--topics", topics, "--qrels", str(bad)],
         "run": ["evaluate", "--run", str(bad), "--qrels", qrels],

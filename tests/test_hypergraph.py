@@ -309,69 +309,6 @@ def test_transitions_respect_exclusions():
         g.out_edges(42)
 
 
-def test_out_edges_by_targets_orders_out_edge_positions_by_target_count():
-    g, a, b, c, e = small_graph()
-    f = g.upsert_node(NodeKind.ENTITY, "other")
-    h = g.upsert_node(NodeKind.ENTITY, "third")
-    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c, e, f, h], doc_id="d1")
-    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e, f, h])
-    synonym = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
-    short = g.add_edge(EdgeKind.DOCUMENT, members=[a, c], doc_id="d2")
-    pair = g.add_edge(EdgeKind.RELATED_TO, members=[e, f])
-    triple = g.add_edge(EdgeKind.RELATED_TO, members=[e, f, h])
-    g.freeze()
-    assert g.out_edges(a) == (doc, contained, synonym, short)
-    positions, counts = g.out_edges_by_targets(a)
-    assert positions.typecode == counts.typecode == "I"
-    # ascending counts, equal counts in out-edge order; the ContainedIn edge
-    # counts its three head entities, not its tail
-    assert list(positions) == [2, 3, 1, 0]
-    assert list(counts) == [2, 2, 3, 6]
-    assert g.out_edges_by_targets(a) is g.out_edges_by_targets(a)
-    # e is only in the head of the ContainedIn edge, so no step leaves e by it
-    assert g.out_edges(e) == (doc, pair, triple)
-    positions, counts = g.out_edges_by_targets(e)
-    assert [g.out_edges(e)[i] for i in positions] == [pair, triple, doc]
-    assert list(counts) == [2, 3, 6]
-    assert contained not in g.out_edges(e)
-
-
-def test_target_weights_follow_the_targets_and_wait_for_freeze():
-    g = Hypergraph(Variant.WEIGHTED)
-    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
-    e = g.upsert_node(NodeKind.ENTITY, "e")
-    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
-    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
-    for item, weight in zip((*g.nodes, *g.edges), (0.5, 0.25, 0.125, 1.0, 1.0)):
-        item.weight = weight
-    with pytest.raises(InvariantError):
-        g.target_table(doc)
-    g.freeze()
-    # the weights come first, in target order
-    assert list(g.target_table(doc))[:3] == [0.5, 0.25, 0.125]
-    assert list(g.target_table(contained))[:1] == [0.125]
-    assert g.target_table(doc) is g.target_table(doc)
-    assert g.target_tables[doc] is g.target_table(doc)
-
-
-def test_target_weight_sums_add_the_target_weights_in_order_and_wait_for_freeze():
-    g = Hypergraph(Variant.WEIGHTED)
-    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
-    e = g.upsert_node(NodeKind.ENTITY, "e")
-    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
-    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
-    for item, weight in zip((*g.nodes, *g.edges), (0.1, 0.2, 0.3, 1.0, 1.0)):
-        item.weight = weight
-    with pytest.raises(InvariantError):
-        g.target_table(doc)
-    g.freeze()
-    # weights, then their running sums, then one unfilled total per target
-    assert list(g.target_table(doc)) == [
-        0.1, 0.2, 0.3, 0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3, 0.0, 0.0, 0.0]
-    assert list(g.target_table(contained)) == [0.3, 0.3, 0.0]
-    assert g.target_table(doc) is g.target_table(doc)
-
-
 def test_source_node_never_a_target():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -16,6 +16,7 @@ from hgoe import (
     Hypergraph,
     InputError,
     InternalError,
+    InvariantError,
     NodeKind,
     RankingParams,
     Variant,
@@ -527,7 +528,8 @@ def list_filter_walk(graph, start, length, fatigue, params, rng, exclusions):
 
 @pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
 @pytest.mark.parametrize(
-    "node_fatigue, edge_fatigue", [(0, 0), (0, 3), (1, 0), (2, 3), (10, 10), (40, 0)]
+    "node_fatigue, edge_fatigue",
+    [(0, 0), (0, 3), (1, 0), (2, 3), (10, 10), (40, 0), (50, 50), (200, 0), (0, 200)],
 )
 def test_hub_steps_match_the_list_filter_rule(variant, node_fatigue, edge_fatigue):
     graph, hub = hub_graph(variant)
@@ -697,7 +699,13 @@ def test_walk_draws_read_at_most_the_budget_and_at_most_4096(monkeypatch):
     monkeypatch.setattr(ranking, "make_stream", counting_stream)
     huge = walk_draws(Variant.WEIGHTED, "q", RankingParams(repeats=10**9), 3)
     huge.random()
-    assert made[-1].blocks == [4096]
+    # the first block stops at 1024, so a ranking that locks up early reads no more
+    assert made[-1].blocks == [1024]
+    long = walk_draws(Variant.WEIGHTED, "q", RankingParams(repeats=500, walk_length=5), 2)
+    for _ in range(10_001):
+        long.random()
+    # budget 2 * 500 * 2 * 5 = 10,000: 1024 first, then at most 4096, then one at a time
+    assert made[-1].blocks == [1024, 4096, 4096, 784, 1]
     short = walk_draws(Variant.BASE, "q", RankingParams(repeats=2, walk_length=3), 5)
     for _ in range(61):
         short.integers(7)
@@ -714,6 +722,112 @@ def test_integers_of_one_reads_no_word():
     assert gen.bit_generator.state == state
     assert BlockDraws(gen, integers=True, budget=1).integers(1) == 0
     assert gen.bit_generator.state == state
+
+
+# -- the walk tables -----------------------------------------------------------
+
+def test_out_edges_by_targets_orders_out_edge_positions_by_target_count():
+    g = Hypergraph(Variant.BASE)
+    a, b, c = (g.upsert_node(NodeKind.TERM, label) for label in "abc")
+    e = g.upsert_node(NodeKind.ENTITY, "thing")
+    f = g.upsert_node(NodeKind.ENTITY, "other")
+    h = g.upsert_node(NodeKind.ENTITY, "third")
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, c, e, f, h], doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e, f, h])
+    synonym = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
+    short = g.add_edge(EdgeKind.DOCUMENT, members=[a, c], doc_id="d2")
+    pair = g.add_edge(EdgeKind.RELATED_TO, members=[e, f])
+    triple = g.add_edge(EdgeKind.RELATED_TO, members=[e, f, h])
+    g.freeze()
+    assert g.out_edges(a) == (doc, contained, synonym, short)
+    positions, counts = ranking._out_edges_by_targets(g, a)
+    assert positions.typecode == counts.typecode == "I"
+    # ascending counts, equal counts in out-edge order; the ContainedIn edge
+    # counts its three head entities, not its tail
+    assert list(positions) == [2, 3, 1, 0]
+    assert list(counts) == [2, 2, 3, 6]
+    assert ranking._out_edges_by_targets(g, a) is ranking._out_edges_by_targets(g, a)
+    # e is only in the head of the ContainedIn edge, so no step leaves e by it
+    assert g.out_edges(e) == (doc, pair, triple)
+    positions, counts = ranking._out_edges_by_targets(g, e)
+    assert [g.out_edges(e)[i] for i in positions] == [pair, triple, doc]
+    assert list(counts) == [2, 3, 6]
+    assert contained not in g.out_edges(e)
+
+
+def test_out_weight_sums_add_the_out_edge_weights_in_out_edge_order():
+    graph, hub = hub_graph(Variant.WEIGHTED)
+    sums = ranking._out_weight_sums(graph, hub)
+    assert sums.typecode == "d"
+    assert list(sums) == list(accumulate(graph.edges[e].weight for e in graph.out_edges(hub)))
+    assert ranking._out_weight_sums(graph, hub) is sums
+    assert graph.weight_sums.keys() == {hub}
+
+
+def test_target_weights_follow_the_targets_and_wait_for_freeze():
+    g = Hypergraph(Variant.WEIGHTED)
+    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
+    e = g.upsert_node(NodeKind.ENTITY, "e")
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
+    for item, weight in zip((*g.nodes, *g.edges), (0.5, 0.25, 0.125, 1.0, 1.0)):
+        item.weight = weight
+    with pytest.raises(InvariantError):
+        ranking._target_table(g, doc)
+    g.freeze()
+    # the weights come first, in target order
+    assert list(ranking._target_table(g, doc))[:3] == [0.5, 0.25, 0.125]
+    assert list(ranking._target_table(g, contained))[:1] == [0.125]
+    assert ranking._target_table(g, doc) is ranking._target_table(g, doc)
+    assert g.target_tables[doc] is ranking._target_table(g, doc)
+
+
+def test_target_weight_sums_add_the_target_weights_in_order_and_wait_for_freeze():
+    g = Hypergraph(Variant.WEIGHTED)
+    a, b = g.upsert_node(NodeKind.TERM, "a"), g.upsert_node(NodeKind.TERM, "b")
+    e = g.upsert_node(NodeKind.ENTITY, "e")
+    doc = g.add_edge(EdgeKind.DOCUMENT, members=[a, b, e], doc_id="d1")
+    contained = g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, b], head=[e])
+    for item, weight in zip((*g.nodes, *g.edges), (0.1, 0.2, 0.3, 1.0, 1.0)):
+        item.weight = weight
+    with pytest.raises(InvariantError):
+        ranking._target_table(g, doc)
+    g.freeze()
+    # weights, then their running sums, then one unfilled total per target
+    assert list(ranking._target_table(g, doc)) == [
+        0.1, 0.2, 0.3, 0.1, 0.1 + 0.2, 0.1 + 0.2 + 0.3, 0.0, 0.0, 0.0]
+    assert list(ranking._target_table(g, contained)) == [0.3, 0.3, 0.0]
+    assert ranking._target_table(g, doc) is ranking._target_table(g, doc)
+
+
+@pytest.mark.parametrize("variant, node_fatigue, edge_fatigue", [
+    (Variant.BASE, 10, 10), (Variant.WEIGHTED, 0, 0), (Variant.WEIGHTED, 2, 3),
+], ids=["base-10-10", "weighted-0-0", "weighted-2-3"])
+def test_rankings_do_not_depend_on_what_earlier_rankings_cached(
+        tmp_path, variant, node_fatigue, edge_fatigue):
+    """A query ranks on a freshly loaded graph as it does once other queries filled the tables."""
+    rng = np.random.default_rng(94)
+    params = RankingParams(repeats=30, node_fatigue=node_fatigue, edge_fatigue=edge_fatigue)
+    caches = ("by_targets",) if variant is Variant.BASE else (
+        "weight_sums", "target_tables") + (("by_targets",) if node_fatigue else ())
+    steps = 0
+    for i in range(30):
+        path = str(tmp_path / f"g{i}.hgoe")
+        graphgen.random_graph(rng, variant)[0].save(path)
+        queries = list(dict.fromkeys(graphgen.random_query(rng) for _ in range(6)))
+        fresh = {query: rws(Hypergraph.load(path), query, params) for query in queries}
+        steps += sum(result.total_steps for result in fresh.values())
+        for order in (queries, queries[::-1]):
+            graph = Hypergraph.load(path)
+            for query in order:
+                assert rws(graph, query, params) == fresh[query]
+            # every query again, now that every other one has filled the tables
+            for query in order:
+                assert rws(graph, query, params) == fresh[query]
+            if any(result.total_steps for result in fresh.values()):
+                assert all(getattr(graph, cache) for cache in caches)
+    # window 10 locks these few-document graphs up within a few steps
+    assert steps > 100
 
 
 # -- the weighted target stage --------------------------------------------------
@@ -996,7 +1110,7 @@ def test_memoised_other_target_totals_add_the_other_weights_in_order():
         weights = mixed_weights(rng)
         n = len(weights)
         graph, terms, tail, entities = weighted_star(weights)
-        table = graph.target_table(graph.doc_edge_id("d"))
+        table = ranking._target_table(graph, graph.doc_edge_id("d"))
         assert list(table[2 * n:]) == [0.0] * n
         for i, source in enumerate(terms):
             one_step(graph, source, 0.5)
