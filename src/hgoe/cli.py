@@ -27,6 +27,7 @@ from .ranking import Ranking, RankingParams, run_timed, rws
 
 VARIANT_CHOICES = [v.value for v in Variant]
 ENGINE_CHOICES = ["rws", "tfidf", "bm25"]
+VARIANT_HELP = "graph built from --corpus (default base); with --index, must be the index's"
 
 # A search ranks a query, keeping at most --k entries; baselines ignore params.
 Search = Callable[[str, RankingParams], Ranking]
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="rank documents for one query or a topics file")
     p.add_argument("--index", help="hypergraph index path (rws engine)")
     p.add_argument("--corpus", help="corpus .jsonl (baseline engines, or rws without an index)")
-    p.add_argument("--variant", choices=VARIANT_CHOICES, default=Variant.BASE.value)
+    p.add_argument("--variant", choices=VARIANT_CHOICES, help=VARIANT_HELP)
     p.add_argument("--lexicon")
     p.add_argument("--embeddings")
     p.add_argument("--engine", choices=ENGINE_CHOICES, default="rws")
@@ -128,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-b", help="second run file")
     p.add_argument("--index", help="hypergraph index (rws sides)")
     p.add_argument("--corpus", help="corpus .jsonl (baseline sides, or rws without an index)")
-    p.add_argument("--variant", choices=VARIANT_CHOICES, default=Variant.BASE.value)
+    p.add_argument("--variant", choices=VARIANT_CHOICES, help=VARIANT_HELP)
     p.add_argument("--lexicon")
     p.add_argument("--embeddings")
     p.add_argument("--topics", help="topics .tsv (system mode)")
@@ -189,14 +190,20 @@ def _inputs(args: argparse.Namespace, variants: list[Variant]):
     Base reads neither, so when every one of `variants` is base, neither is opened
     and one warning on stderr names the flags given."""
     documents = load_corpus(args.corpus)
-    given = [flag for flag, path in (("--lexicon", args.lexicon),
-                                     ("--embeddings", args.embeddings)) if path]
-    if given and all(variant is Variant.BASE for variant in variants):
-        print(f"warning: variant base reads no {' or '.join(given)}; not opened", file=sys.stderr)
+    if all(variant is Variant.BASE for variant in variants):
+        _open_no_enrichment(args, "variant base")
         return documents, None, None
     lexicon = load_synonyms(args.lexicon) if args.lexicon else None
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     return documents, lexicon, embeddings
+
+
+def _open_no_enrichment(args: argparse.Namespace, reader: str) -> None:
+    """Leave --lexicon and --embeddings unopened, with one warning naming those given."""
+    given = [flag for flag, path in (("--lexicon", args.lexicon),
+                                     ("--embeddings", args.embeddings)) if path]
+    if given:
+        print(f"warning: {reader} reads no {' or '.join(given)}; not opened", file=sys.stderr)
 
 
 def _check_k(k: int) -> int:
@@ -269,9 +276,9 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
     documents = None
     if "rws" in names:
         if args.index:
-            graph = Hypergraph.load(args.index)
+            graph = _load_index(args)
         elif args.corpus:
-            variant = Variant(args.variant)
+            variant = Variant(args.variant or Variant.BASE.value)
             documents, lexicon, embeddings = _inputs(args, [variant])
             graph = index_corpus(documents, variant, lexicon, embeddings)
         else:
@@ -292,6 +299,18 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         searches["tfidf"] = lambda query, params: baseline.search_tfidf(inverted, query, k)
         searches["bm25"] = lambda query, params: baseline.search_bm25(inverted, query, k)
     return searches
+
+
+def _load_index(args: argparse.Namespace) -> Hypergraph:
+    """The --index graph. Its variant is fixed, so a --variant naming another exits 2,
+    and it reads no --lexicon or --embeddings: neither is opened, and one warning on
+    stderr names the flags given."""
+    graph = Hypergraph.load(args.index)
+    if args.variant and Variant(args.variant) is not graph.variant:
+        raise ConfigError(
+            f"--variant {args.variant} does not match the index's variant {graph.variant.value}")
+    _open_no_enrichment(args, "--index")
+    return graph
 
 
 # -- search -------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import AbstractSet, Callable, Sequence
+from typing import AbstractSet, Callable, Collection, Sequence
 
 from .errors import InputError
 
@@ -70,8 +70,7 @@ def mean_average_precision(
             excluded.append(topic_id)
             continue
         per_topic[topic_id] = average_precision(run[topic_id], relevant)
-    mean = sum(per_topic.values()) / len(per_topic) if per_topic else 0.0
-    return MapResult(mean, per_topic, excluded, skipped)
+    return MapResult(_mean_in_order(per_topic.values()), per_topic, excluded, skipped)
 
 
 def evaluate_run(
@@ -89,8 +88,21 @@ def evaluate_run(
     for topic_id in result.per_topic:
         relevant = {doc_id for doc_id, grade in qrels[topic_id].items() if grade > 0}
         p_at_k[topic_id] = precision_at_k(run[topic_id], relevant, k)
-    mean_p = sum(p_at_k.values()) / len(p_at_k) if p_at_k else 0.0
-    return result, p_at_k, mean_p
+    return result, p_at_k, _mean_in_order(p_at_k.values())
+
+
+def _mean_in_order(values: Collection[float]) -> float:
+    """The mean of values added left to right, 0.0 for none.
+
+    Built-in sum() adds floats with compensation from Python 3.12 on, so
+    its means differ in the last bits between interpreters (ten values of
+    0.1 average to 0.09999999999999999 on 3.11, to 0.1 on 3.12); plain
+    additions give the 3.11 float on every interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
 
 
 def _positions(ranking: Sequence[str], universe: Sequence[str]) -> dict[str, int]:

@@ -29,25 +29,23 @@ for it, so it serves every later ranking of that graph:
   weight of the targets other than the one at i, 0.0 until a walk first
   needs it (a weight is above 0, so a total never is).
 
-Cost of a step: with both windows 0 and the table empty when a walk
-starts, nothing can enter the table during the walk, so `random_walk`
-runs a loop that rules nothing out and checks no fatigue: it reads the
-node's out-edges, draws one (weighted: by bisecting `weight_sums`),
-draws a target and only ticks the clock. Any other walk runs
-`_fatigued_walk`, which calls `FatigueTable.advance` after every step,
-O(1) amortised to expire old entries. There an out-edge is ruled out
-only when it is fatigued or every target other than the source is
-fatigued. With m nodes fatigued, the latter needs at most m + 1 targets,
-so a step reads only the first entries of `by_targets`, and stops at
-each one's first unfatigued target other than the source. Both variants
-bisect the current node's sorted out-edges for each fatigued edge,
-O(log deg) each. A step picks k among the eligible out-edges and steps k
-over the excluded positions. Unweighted, it draws integers(count);
-weighted, it bisects `weight_sums` when nothing is excluded, and
-otherwise lists the other out-edges' weights, O(deg). With no node
-fatigued, a weighted step of either loop picks the target from the
-edge's target table, building no list (`_weighted_target`); under node
-fatigue it lists the eligible targets. A walk with no eligible
+Cost of a step: `random_walk` states the step once, for every walk. A
+walk that starts with both windows 0 and the table empty is calm: nothing
+can enter the table during it, so it rules nothing out, checks no fatigue
+and only ticks the clock. Any other walk calls `_excluded_positions` at
+each step and `FatigueTable.advance` after it, O(1) amortised to expire
+old entries. There an out-edge is ruled out only when it is fatigued or
+every target other than the source is fatigued. With m nodes fatigued,
+the latter needs at most m + 1 targets, so a step reads only the first
+entries of `by_targets`, and stops at each one's first unfatigued target
+other than the source. Both variants bisect the current node's sorted
+out-edges for each fatigued edge, O(log deg) each. A step picks k among
+the eligible out-edges and steps k over the excluded positions.
+Unweighted, it draws integers(count); weighted, it bisects `weight_sums`
+when nothing is excluded, and otherwise lists the other out-edges'
+weights, O(deg). With no node fatigued, a weighted step picks the target
+from the edge's target table, building no list (`_weighted_target`);
+under node fatigue it lists the eligible targets. A walk with no eligible
 transition ends without a draw, so `rws` stops at the first round of
 walks (one from every seed) that takes no step: every later round would
 find the same table.
@@ -138,10 +136,10 @@ class FatigueTable:
     inside its window gets a later expiry, so its older deque entry finds
     a different value and leaves it. Each deque stays in expiry order as
     long as every call of one table passes the same windows, as the walks
-    of one ranking do. Each step reads `nodes` and `edges` to rule out
-    out-edges (`_excluded_positions`). A walk that starts with both
-    windows 0 and the table empty ticks `clock` itself instead of calling
-    `advance`: nothing can expire or enter.
+    of one ranking do. A step of `random_walk` reads `nodes` and `edges`
+    to rule out out-edges (`_excluded_positions`) and then calls
+    `advance`, except in a calm walk (both windows 0, the table empty),
+    which ticks `clock` itself: nothing can expire or enter.
     """
 
     __slots__ = ("nodes", "edges", "clock", "_node_expiries", "_edge_expiries")
@@ -282,124 +280,82 @@ def random_walk(
 
     Returns (visited edge ids, visited node ids, steps taken). The start
     node is not a visit. The walk ends early, without a draw, when no
-    eligible transition remains. With both windows 0 and the table empty
-    nothing can enter the table during the walk, so every out-edge and
-    every target other than the source stays eligible: this loop checks no
-    fatigue and only ticks the clock. Any other walk runs `_fatigued_walk`.
+    eligible transition remains. A walk is calm when it starts with both
+    windows 0 and the table empty: nothing can enter the table during it,
+    so it rules nothing out and only ticks the clock. Any other walk rules
+    out what fatigue blocks at each step (`_excluded_positions`) and feeds
+    the table through `FatigueTable.advance`.
     """
-    if params.node_fatigue or params.edge_fatigue or fatigue.nodes or fatigue.edges:
-        return _fatigued_walk(graph, start, length, fatigue, params, rng, step_listener)
+    fatigued = fatigue.nodes
+    calm = not (params.node_fatigue or params.edge_fatigue or fatigued or fatigue.edges)
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     walk_table = graph.walk_table
     weight_sums = graph.weight_sums
     visited_edges: list[int] = []
     visited_nodes: list[int] = []
+    excluded: Sequence[int] = ()
     current = start
     out = graph.out_edges(start)
     for _ in range(length):
         count = len(out)
+        if not calm:
+            excluded = _excluded_positions(graph, out, current, fatigue)
+            count -= len(excluded)
         if not count:
             break
-        if weighted:
+        if excluded:
+            if weighted:
+                weights = [edges[e].weight for e in out]
+                for position in reversed(excluded):
+                    del weights[position]
+                k = _cumulative_pick(weights, rng.random())
+            else:
+                k = rng.integers(count)
+            # the k-th eligible out-edge: step k past each excluded position up to it
+            for position in excluded:
+                if position > k:
+                    break
+                k += 1
+        elif weighted:
             # as _cumulative_pick over the out-edge weights picks
             sums = weight_sums.get(current)
             if sums is None:
                 sums = _out_weight_sums(graph, current)
             k = bisect_right(sums, rng.random() * sums[-1])
-            edge_id = out[k if k < count else count - 1]
+            if k == count:
+                k -= 1
+        else:
+            k = rng.integers(count)
+        edge_id = out[k]
+        if weighted and not fatigued:
             target = _weighted_target(graph, edge_id, current, rng.random())
         else:
-            edge_id = out[rng.integers(count)]
             edge = edges[edge_id]
-            if edge.head:
-                targets = [t for t in edge.head if t != current]
-                target = targets[rng.integers(len(targets))]
+            if fatigued or edge.head:
+                targets = [t for t in edge.targets if t != current and t not in fatigued]
+                if weighted:
+                    nodes = graph.nodes
+                    weights = [nodes[t].weight for t in targets]
+                    target = targets[_cumulative_pick(weights, rng.random())]
+                else:
+                    target = targets[rng.integers(len(targets))]
             else:
-                # members are sorted, so the k-th member other than the
-                # source is members[k] below it and members[k + 1] above
+                # undirected, nothing fatigued: members are sorted, so the k-th member
+                # other than the source is members[k] below it and members[k + 1] above
                 members = edge.members
                 k = rng.integers(len(members) - 1)
                 target = members[k] if members[k] < current else members[k + 1]
         visited_edges.append(edge_id)
         visited_nodes.append(target)
-        fatigue.clock += 1
+        if calm:
+            fatigue.clock += 1
+        else:
+            fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
         if step_listener is not None:
             step_listener(fatigue.clock, edge_id, target)
         current = target
         out = walk_table[current]
-    return visited_edges, visited_nodes, len(visited_edges)
-
-
-def _fatigued_walk(
-    graph: Hypergraph,
-    start: int,
-    length: int,
-    fatigue: FatigueTable,
-    params: RankingParams,
-    rng: np.random.Generator | BlockDraws,
-    step_listener: StepListener | None,
-) -> tuple[list[int], list[int], int]:
-    """`random_walk` for a walk with a window above 0 or a table not empty.
-
-    Each step rules out the out-edges fatigue blocks and the fatigued
-    targets, and feeds the table through `FatigueTable.advance`.
-    """
-    weighted = graph.variant is Variant.WEIGHTED
-    edges = graph.edges
-    nodes = graph.nodes
-    out_edges = graph.out_edges
-    visited_edges: list[int] = []
-    visited_nodes: list[int] = []
-    current = start
-    for _ in range(length):
-        out = out_edges(current)
-        fatigued = fatigue.nodes
-        excluded = _excluded_positions(graph, out, current, fatigue)
-        count = len(out) - len(excluded)
-        if not count:
-            break
-        if not weighted:
-            k = rng.integers(count)
-        elif excluded:
-            weights = [edges[e].weight for e in out]
-            for position in reversed(excluded):
-                del weights[position]
-            k = _cumulative_pick(weights, rng.random())
-        else:
-            # as _cumulative_pick over the out-edge weights picks
-            sums = _out_weight_sums(graph, current)
-            k = bisect_right(sums, rng.random() * sums[-1])
-            if k == count:
-                k -= 1
-        # the k-th eligible out-edge: step k past each excluded position up to it
-        for position in excluded:
-            if position > k:
-                break
-            k += 1
-        edge_id = out[k]
-        edge = edges[edge_id]
-        if weighted and not fatigued:
-            target = _weighted_target(graph, edge_id, current, rng.random())
-        elif weighted or fatigued or edge.head:
-            targets = [t for t in edge.targets if t != current and t not in fatigued]
-            if weighted:
-                weights = [nodes[t].weight for t in targets]
-                target = targets[_cumulative_pick(weights, rng.random())]
-            else:
-                target = targets[rng.integers(len(targets))]
-        else:
-            # undirected, nothing fatigued: members are sorted, so the k-th member
-            # other than the source is members[k] below it and members[k + 1] above
-            members = edge.members
-            k = rng.integers(len(members) - 1)
-            target = members[k] if members[k] < current else members[k + 1]
-        visited_edges.append(edge_id)
-        visited_nodes.append(target)
-        fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
-        if step_listener is not None:
-            step_listener(fatigue.clock, edge_id, target)
-        current = target
     return visited_edges, visited_nodes, len(visited_edges)
 
 
@@ -561,11 +517,10 @@ def rws(
             # the clock and the table as it found them, and every later round would too
             break
     total_visits = sum(visit_counts.values())
-    entries = [
-        (edges[edge_id].doc_id, count / total_visits)
-        for edge_id, count in visit_counts.items()
-    ]
-    entries.sort(key=lambda item: (-item[1], item[0]))
+    # Every score shares one total, and distinct counts below 2**53 give distinct
+    # quotients, so sorting by count orders and ties the scores as sorting by score would.
+    order = sorted((-count, edges[edge_id].doc_id) for edge_id, count in visit_counts.items())
+    entries = [(doc_id, -negated / total_visits) for negated, doc_id in order]
     return Ranking(entries, visit_counts, total_steps)
 
 

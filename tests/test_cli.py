@@ -594,6 +594,54 @@ def test_an_enriched_variant_still_opens_the_lexicon(workspace, capsys, argv):
     assert err.startswith("error:") and str(missing) in err and "warning" not in err
 
 
+# -- flags an index makes moot ------------------------------------------------------
+
+def index_argv(workspace, command, variant="base"):
+    """`command` ranking with rws on a `variant` index built from the workspace's corpus."""
+    index, topics = workspace / f"{variant}.hgoe", str(workspace / "topics.tsv")
+    if not index.exists():
+        assert cli.main(["index", "--corpus", str(workspace / "corpus.jsonl"), "--variant", variant,
+                         "--lexicon", str(workspace / "lexicon.tsv"),
+                         "--embeddings", str(workspace / "vectors.txt"), "--out", str(index)]) == 0
+    return {
+        "search": ["search", "--index", str(index), "--topics", topics, "--repeats", "50"],
+        "compare": ["compare", "--index", str(index), "--topics", topics, "--engine-a", "rws",
+                    "--engine-b", "rws", "--node-fatigue-b", "2", "--repeats", "20"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["search", "compare"])
+@pytest.mark.parametrize("variant", ["base", "weighted"])
+@pytest.mark.parametrize("given", [("--lexicon", "--embeddings"), ("--lexicon",)],
+                         ids=["both", "lexicon"])
+def test_an_index_opens_no_lexicon_or_embeddings_and_warns_once(
+        workspace, capsys, command, variant, given):
+    argv = index_argv(workspace, command, variant)
+    capsys.readouterr()
+    without = cli.main(argv), capsys.readouterr().out
+    # the files do not exist, so opening either would exit 2; naming the index's
+    # own variant changes nothing
+    code = cli.main([*argv, "--variant", variant, *(
+        token for flag in given for token in (flag, str(workspace / f"missing{flag}")))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == without
+    assert without[0] == 0
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == [
+        f"warning: --index reads no {' or '.join(given)}; not opened"]
+
+
+@pytest.mark.parametrize("command", ["search", "compare"])
+@pytest.mark.parametrize("variant, other", [("base", "weighted"), ("weighted", "syns-context")])
+def test_a_variant_other_than_the_index_s_exits_2(workspace, capsys, command, variant, other):
+    argv = index_argv(workspace, command, variant)
+    capsys.readouterr()
+    assert cli.main([*argv, "--variant", other]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and f"--variant {other}" in line and variant in line
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_two_run_files(workspace, capsys):

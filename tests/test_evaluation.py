@@ -92,6 +92,15 @@ def test_evaluate_run_takes_precision_over_the_map_topics():
         evaluate_run({}, {}, 0)  # k is checked even with no topic to score
 
 
+def test_means_add_left_to_right_on_every_interpreter():
+    """Ten topics of AP and P@10 0.1: 3.12's compensated sum() would give 0.1."""
+    run = {f"t{i}": [f"t{i}-d0"] for i in range(10)}
+    qrels = {f"t{i}": {f"t{i}-d{j}": 1 for j in range(10)} for i in range(10)}
+    result, p_at_k, mean_p = evaluate_run(run, qrels, 10)
+    assert list(result.per_topic.values()) == list(p_at_k.values()) == [0.1] * 10
+    assert result.mean == mean_p == 0.09999999999999999
+
+
 # -- ranking completion ---------------------------------------------------------
 
 def test_complete_and_rank_appends_missing_documents():

@@ -315,6 +315,50 @@ def test_a_dead_seed_does_not_stop_a_seed_that_still_steps(monkeypatch, locked):
     assert got.total_steps == params.repeats + (locked == "edge-fatigued")
 
 
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+@pytest.mark.parametrize("case", ["calm", "fatigued", "locked-up"])
+def test_rws_calls_random_walk_once_per_walk_it_runs(monkeypatch, variant, case):
+    """Every walk of a ranking is one ranking.random_walk call, and their steps are its steps.
+
+    perfbench counts walks and steps by wrapping that module attribute.
+    """
+    if case == "locked-up":
+        # the first walk fatigues the one midpoint, so the second round takes no step
+        g = Hypergraph(variant)
+        s1, m, s2 = (g.upsert_node(NodeKind.TERM, name) for name in ("s1", "mid", "s2"))
+        g.add_edge(EdgeKind.SYNONYM, members=[s1, m])
+        g.add_edge(EdgeKind.SYNONYM, members=[s2, m])
+        for item in (*g.nodes, *g.edges):
+            item.weight = 0.5 if variant is Variant.WEIGHTED else None
+        g.freeze()
+        graph, query, params = g, "s1 s2", RankingParams(walk_length=1, repeats=4, node_fatigue=10)
+    else:
+        graph, _ = hub_graph(variant)
+        fatigue = 3 if case == "fatigued" else 0
+        query, params = "hub leaf000", RankingParams(
+            walk_length=3, repeats=20, node_fatigue=fatigue, edge_fatigue=fatigue)
+    walk, calls = ranking.random_walk, []
+
+    def counted(graph, start, *rest):
+        got = walk(graph, start, *rest)
+        calls.append((start, got[2]))
+        return got
+
+    monkeypatch.setattr(ranking, "random_walk", counted)
+    result = rws(graph, query, params)
+    seeds = map_query_to_seeds(graph, query).seeds
+    rounds = len(calls) // len(seeds)
+    assert [start for start, _ in calls] == list(seeds) * rounds
+    assert sum(steps for _, steps in calls) == result.total_steps > 0
+    round_steps = [sum(steps for _, steps in calls[i:i + len(seeds)])
+                   for i in range(0, len(calls), len(seeds))]
+    if case == "locked-up":
+        assert round_steps == [1, 0]
+    else:
+        assert rounds == params.repeats
+        assert all(round_steps)
+
+
 def test_exact_score_tie_breaks_on_doc_id():
     g = Hypergraph()
     s = g.upsert_node(NodeKind.TERM, "s")
@@ -975,8 +1019,9 @@ def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fat
 
     The edges are fatigued by `advance`, so the step picks from the weights
     of the other out-edges and steps past the excluded positions. With none
-    fatigued, the window alone sends the step through `_fatigued_walk`,
-    which bisects the out-edge sums and clamps a draw past the last one.
+    fatigued, the window alone makes the walk check fatigue, finding
+    nothing excluded, so it bisects the out-edge sums and clamps a draw
+    past the last one.
     """
     g, source, leaves, edges = weighted_fan(FAN_WEIGHTS)
     weights = FAN_WEIGHTS
@@ -1044,15 +1089,15 @@ def test_zero_windows_still_expire_a_table_filled_with_open_windows():
 
 @pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
 @pytest.mark.parametrize("entry", ["node", "edge"])
-def test_fatigued_loop_walks_a_zero_window_walk_as_the_calm_loop_does(monkeypatch, variant, entry):
-    """A table entry for an id the graph lacks sends a walk through the other loop, and changes nothing."""
-    fatigued_walk, routed = ranking._fatigued_walk, []
+def test_a_zero_window_walk_checking_fatigue_walks_as_a_calm_walk(monkeypatch, variant, entry):
+    """A table entry for an id the graph lacks makes a walk check fatigue at every step, and changes nothing."""
+    excluded_positions, checks = ranking._excluded_positions, []
 
-    def counted(graph, start, *rest):
-        routed.append(start)
-        return fatigued_walk(graph, start, *rest)
+    def counted(graph, out, source, fatigue):
+        checks.append(source)
+        return excluded_positions(graph, out, source, fatigue)
 
-    monkeypatch.setattr(ranking, "_fatigued_walk", counted)
+    monkeypatch.setattr(ranking, "_excluded_positions", counted)
     rng = np.random.default_rng(93)
     steps = 0
     for i in range(12):
@@ -1065,10 +1110,11 @@ def test_fatigued_loop_walks_a_zero_window_walk_as_the_calm_loop_does(monkeypatc
                 if forced:
                     table = fatigue.nodes if entry == "node" else fatigue.edges
                     table[len(graph.nodes) + len(graph.edges)] = length + 1
-                del routed[:]
+                del checks[:]
                 got = random_walk(graph, start, length, fatigue, RankingParams(), stream,
                                   lambda *step: seen.append(step))
-                assert routed == ([start] if forced else [])
+                # a calm walk checks nothing; the other checks before every step it tries
+                assert len(checks) == (0 if not forced else min(got[2] + 1, length))
                 walks.append((got, fatigue.clock, seen, stream.bit_generator.state))
             assert walks[0] == walks[1]
             steps += walks[0][0][2]
