@@ -185,25 +185,40 @@ def _config_value(path: str, action: argparse.Action, value):
     raise ConfigError(f"{path}: bad value for {action.dest!r}: {value!r}")
 
 
-def _inputs(args: argparse.Namespace, variants: list[Variant]):
-    """The corpus, lexicon and embeddings the flags name; the last two are optional.
-    Base reads neither, so when every one of `variants` is base, neither is opened
-    and one warning on stderr names the flags given."""
-    documents = load_corpus(args.corpus)
-    if all(variant is Variant.BASE for variant in variants):
-        _open_no_enrichment(args, "variant base")
-        return documents, None, None
-    lexicon = load_synonyms(args.lexicon) if args.lexicon else None
-    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
-    return documents, lexicon, embeddings
-
-
-def _open_no_enrichment(args: argparse.Namespace, reader: str) -> None:
-    """Leave --lexicon and --embeddings unopened, with one warning naming those given."""
-    given = [flag for flag, path in (("--lexicon", args.lexicon),
-                                     ("--embeddings", args.embeddings)) if path]
-    if given:
-        print(f"warning: {reader} reads no {' or '.join(given)}; not opened", file=sys.stderr)
+def _open_sources(args: argparse.Namespace, engines: list[str], variants: list[Variant]):
+    """Open each source file the `engines` read, once: (index graph, documents, lexicon,
+    embeddings), None for any not read; `index` and `sweep` run "rws", compare on run
+    files none. rws reads --index (whose variant --variant must name if given), else
+    --corpus and, if one of `variants` is not base, --lexicon and --embeddings; tfidf
+    and bm25 read --corpus. Once every read has succeeded, one warning on stderr names
+    the source flags given but not read, which stay unopened."""
+    index = getattr(args, "index", None)
+    read = set()
+    reader = f"engine {'/'.join(dict.fromkeys(engines))}" if engines else "--run-a/--run-b"
+    if "rws" in engines:
+        if not (index or args.corpus):
+            raise ConfigError("the rws engine needs --index or --corpus")
+        read = {"variant", "index" if index else "corpus"}
+        reader = "--index" if index else "variant base"
+        if not index and any(variant is not Variant.BASE for variant in variants):
+            read |= {"lexicon", "embeddings"}
+    if set(engines) - {"rws"}:
+        if not args.corpus:
+            raise ConfigError("the tfidf and bm25 engines need --corpus")
+        read.add("corpus")
+    graph = Hypergraph.load(index) if "index" in read else None
+    if graph and args.variant and Variant(args.variant) is not graph.variant:
+        raise ConfigError(
+            f"--variant {args.variant} does not match the index's variant {graph.variant.value}")
+    documents = load_corpus(args.corpus) if "corpus" in read else None
+    lexicon = load_synonyms(args.lexicon) if "lexicon" in read and args.lexicon else None
+    embeddings = (load_embeddings(args.embeddings)
+                  if "embeddings" in read and args.embeddings else None)
+    unread = [f"--{flag}" for flag in ("index", "corpus", "variant", "lexicon", "embeddings")
+              if getattr(args, flag, None) and flag not in read]
+    if unread:
+        print(f"warning: {reader} reads no {' or '.join(unread)}; not opened", file=sys.stderr)
+    return graph, documents, lexicon, embeddings
 
 
 def _check_k(k: int) -> int:
@@ -236,7 +251,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     _check_out("--out", args.out)
     variant = Variant(args.variant)
     started = time.perf_counter_ns()
-    documents, lexicon, embeddings = _inputs(args, [variant])
+    _, documents, lexicon, embeddings = _open_sources(args, ["rws"], [variant])
     graph = index_corpus(documents, variant, lexicon, embeddings)
     graph.save(args.out)
     elapsed_ms = (time.perf_counter_ns() - started) / 1e6
@@ -267,22 +282,15 @@ def _params(
 
 
 def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
-    """Searches for the engines in `names` (both baselines if either is named).
-
-    A corpus two engines share loads once. The caller has checked k.
-    """
+    """Searches for the engines in `names` (both baselines if either is named); the
+    caller has checked k."""
     k = args.k
+    variant = Variant(args.variant or Variant.BASE.value)
+    graph, documents, lexicon, embeddings = _open_sources(args, names, [variant])
     searches: dict[str, Search] = {}
-    documents = None
     if "rws" in names:
-        if args.index:
-            graph = _load_index(args)
-        elif args.corpus:
-            variant = Variant(args.variant or Variant.BASE.value)
-            documents, lexicon, embeddings = _inputs(args, [variant])
+        if graph is None:
             graph = index_corpus(documents, variant, lexicon, embeddings)
-        else:
-            raise ConfigError("the rws engine needs --index or --corpus")
         # The graph's records form no cycles, yet they sit in the young
         # generation, so the next collections would walk them all (8-12 ms
         # after loading a 5,000-document index). gc.freeze moves every object
@@ -291,26 +299,10 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         gc.freeze()
         searches["rws"] = lambda query, params: Ranking(rws(graph, query, params).entries[:k])
     if set(names) - {"rws"}:
-        if not args.corpus:
-            raise ConfigError("the tfidf and bm25 engines need --corpus")
-        if documents is None:
-            documents = load_corpus(args.corpus)
         inverted = baseline.build_inverted(documents)
         searches["tfidf"] = lambda query, params: baseline.search_tfidf(inverted, query, k)
         searches["bm25"] = lambda query, params: baseline.search_bm25(inverted, query, k)
     return searches
-
-
-def _load_index(args: argparse.Namespace) -> Hypergraph:
-    """The --index graph. Its variant is fixed, so a --variant naming another exits 2,
-    and it reads no --lexicon or --embeddings: neither is opened, and one warning on
-    stderr names the flags given."""
-    graph = Hypergraph.load(args.index)
-    if args.variant and Variant(args.variant) is not graph.variant:
-        raise ConfigError(
-            f"--variant {args.variant} does not match the index's variant {graph.variant.value}")
-    _open_no_enrichment(args, "--index")
-    return graph
 
 
 # -- search -------------------------------------------------------------------
@@ -369,7 +361,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"topics.excluded_no_relevant={len(result.excluded_no_relevant)}")
     print(f"topics.skipped_unknown={len(result.skipped_unknown)}")
     if args.json_out:
-        report = {
+        _write_json(args.json_out, {
             "map": result.mean,
             p_label: mean_p,
             "k": args.k,
@@ -378,10 +370,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             },
             "excluded_no_relevant": result.excluded_no_relevant,
             "skipped_unknown": result.skipped_unknown,
-        }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     if not result.per_topic:
         print("error: no topic could be evaluated", file=sys.stderr)
         return 1
@@ -417,7 +406,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_out("--out", args.out and f"{args.out}/sweep.csv")
     topics = _read_topics(args.topics)
     qrels = trec.read_qrels(args.qrels)
-    documents, lexicon, embeddings = _inputs(args, variants)
+    _, documents, lexicon, embeddings = _open_sources(args, ["rws"], variants)
 
     rows = []
     timing_rows = []
@@ -449,6 +438,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_csv(f"{args.out}/sweep.csv", rows)
         _write_csv(f"{args.out}/sweep_timing.csv", timing_rows)
     return 0
+
+
+def _write_json(path: str, report: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -488,6 +483,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not shared:
             raise InputError("the two runs share no topics")
         topics = [(topic_id, topic_id) for topic_id in shared]
+        _open_sources(args, [], [])
         system_a = lambda topic_id, seed: [d for d, _ in run_a[topic_id]]  # noqa: E731
         system_b = lambda topic_id, seed: [d for d, _ in run_b[topic_id]]  # noqa: E731
         repetitions = 1
@@ -520,7 +516,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"jaccard.std={report.jaccard_std:.6f}")
     print(f"repetitions={report.repetitions}")
     if args.json_out:
-        payload = {
+        _write_json(args.json_out, {
             "repetitions": report.repetitions,
             "per_topic": {
                 t: {"rho": report.per_topic_rho[t], "jaccard": report.per_topic_jaccard[t]}
@@ -530,10 +526,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "rho_std": report.rho_std,
             "jaccard_mean": report.jaccard_mean,
             "jaccard_std": report.jaccard_std,
-        }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     if report.rho_mean is None:
         print("error: no topic produced a comparable ranking pair", file=sys.stderr)
         return 1

@@ -146,16 +146,15 @@ class Hyperedge:
 
 _ANY_NODE_KIND = frozenset(NodeKind)
 _NO_LABELS: dict[str, int] = {}  # node_id's table for a kind that is no NodeKind
-# Which node kinds each edge kind may touch, as (member kinds, tail kinds, head kinds).
+# Per edge kind: (directed, the node kinds its members or tail may hold, those its
+# head may hold, the fewest members or tail ids).
 _KIND_RULES: dict[EdgeKind, tuple] = {
-    EdgeKind.DOCUMENT: (_ANY_NODE_KIND, None, None),
-    EdgeKind.CONTAINED_IN: (None, {NodeKind.TERM}, {NodeKind.ENTITY}),
-    EdgeKind.RELATED_TO: ({NodeKind.ENTITY}, None, None),
-    EdgeKind.SYNONYM: ({NodeKind.TERM}, None, None),
-    EdgeKind.CONTEXT: ({NodeKind.TERM}, None, None),
+    EdgeKind.DOCUMENT: (False, _ANY_NODE_KIND, (), 1),
+    EdgeKind.CONTAINED_IN: (True, {NodeKind.TERM}, {NodeKind.ENTITY}, 1),
+    EdgeKind.RELATED_TO: (False, {NodeKind.ENTITY}, (), 2),
+    EdgeKind.SYNONYM: (False, {NodeKind.TERM}, (), 2),
+    EdgeKind.CONTEXT: (False, {NodeKind.TERM}, (), 2),
 }
-# Edge kinds that join at least two members.
-_PAIRWISE_KINDS = frozenset({EdgeKind.RELATED_TO, EdgeKind.SYNONYM, EdgeKind.CONTEXT})
 
 
 class Hypergraph:
@@ -274,20 +273,18 @@ class Hypergraph:
                     f"unknown node id {ids[0] if ids[0] < 0 else ids[bisect_left(ids, count)]}")
         if (doc_id is not None) != (kind is EdgeKind.DOCUMENT):
             raise InvariantError("doc_id is present exactly on Document edges")
-        member_kinds, tail_kinds, head_kinds = _KIND_RULES[kind]
-        if member_kinds is not None:
-            if directed:
-                raise InvariantError(f"{kind.name} edges are undirected")
-            bad = [] if member_kinds is _ANY_NODE_KIND else [
-                m for m in members if self.nodes[m].kind not in member_kinds]
-        else:
-            if not directed:
-                raise InvariantError(f"{kind.name} edges are directed")
-            bad = [n for n in tail if self.nodes[n].kind not in tail_kinds]
+        kind_directed, first_kinds, head_kinds, fewest = _KIND_RULES[kind]
+        if directed != kind_directed:
+            raise InvariantError(
+                f"{kind.name} edges are {'directed' if kind_directed else 'undirected'}")
+        first = tail or members
+        bad = [] if first_kinds is _ANY_NODE_KIND else [
+            n for n in first if self.nodes[n].kind not in first_kinds]
+        if head:
             bad += [n for n in head if self.nodes[n].kind not in head_kinds]
         if bad:
             raise InvariantError(f"{kind.name} edge touches nodes of a forbidden kind: {bad}")
-        if kind in _PAIRWISE_KINDS and len(members) < 2:
+        if len(first) < fewest:
             raise InvariantError(f"{kind.name} edge needs at least two members")
 
         if doc_id in self._doc_edges:
@@ -457,12 +454,10 @@ _HEADER = struct.Struct("<4sIBIII")
 # _KIND_RULES as tables indexed [edge kind, node kind], for checking whole sections at once.
 # Members, or the tail of a directed edge, are the "first" ids of an edge.
 _RULES = [_KIND_RULES[kind] for kind in EdgeKind]
-_DIRECTED = np.array([members is None for members, _, _ in _RULES])
-_FIRST_KINDS = np.array([[node in (members if members is not None else tail) for node in NodeKind]
-                         for members, tail, _ in _RULES])
-_HEAD_KINDS = np.array([[head is not None and node in head for node in NodeKind]
-                        for _, _, head in _RULES])
-_MIN_FIRST = np.array([2 if kind in _PAIRWISE_KINDS else 1 for kind in EdgeKind])
+_DIRECTED = np.array([directed for directed, _, _, _ in _RULES])
+_FIRST_KINDS = np.array([[node in first for node in NodeKind] for _, first, _, _ in _RULES])
+_HEAD_KINDS = np.array([[node in head for node in NodeKind] for _, _, head, _ in _RULES])
+_MIN_FIRST = np.array([fewest for _, _, _, fewest in _RULES])
 _NODE_KINDS = tuple(NodeKind)
 _EDGE_KINDS = tuple(EdgeKind)
 # Node ids the loader gathers per batch: 128 KiB of object references.

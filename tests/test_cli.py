@@ -642,6 +642,68 @@ def test_a_variant_other_than_the_index_s_exits_2(workspace, capsys, command, va
     assert line.startswith("error:") and f"--variant {other}" in line and variant in line
 
 
+# -- source flags no engine of the command reads ------------------------------------
+
+def unread_source_argv(workspace, case):
+    """(argv, source flags that argv's engines do not read, the warning they get) for
+    `case`. The unread flags name files that do not exist."""
+    corpus, topics = str(workspace / "corpus.jsonl"), str(workspace / "topics.tsv")
+    missing = {flag: str(workspace / f"missing{flag}") for flag in
+               ("--index", "--corpus", "--lexicon", "--embeddings")}
+    if case == "search-index":
+        return (index_argv(workspace, "search"), ["--corpus", missing["--corpus"]],
+                "--index reads no --corpus")
+    if case == "compare-runs":
+        run = workspace / "a.txt"
+        run.write_text("t1 Q0 d1 1 0.9 a\nt1 Q0 d2 2 0.5 a\nt1 Q0 d3 3 0.1 a\n", encoding="utf-8")
+        return (["compare", "--run-a", str(run), "--run-b", str(run)],
+                [token for flag in ("--index", "--corpus", "--lexicon")
+                 for token in (flag, missing[flag])],
+                "--run-a/--run-b reads no --index or --corpus or --lexicon")
+    return {
+        "search-bm25": (
+            ["search", "--engine", "bm25", "--corpus", corpus, "--topics", topics],
+            ["--index", missing["--index"], "--variant", "weighted",
+             "--lexicon", missing["--lexicon"], "--embeddings", missing["--embeddings"]],
+            "engine bm25 reads no --index or --variant or --lexicon or --embeddings"),
+        "search-tfidf": (
+            ["search", "--engine", "tfidf", "--corpus", corpus, "--topics", topics],
+            ["--variant", "syns-context"],
+            "engine tfidf reads no --variant"),
+        "compare-baselines": (
+            ["compare", "--engine-a", "tfidf", "--engine-b", "bm25", "--corpus", corpus,
+             "--topics", topics],
+            ["--index", missing["--index"], "--variant", "weighted"],
+            "engine tfidf/bm25 reads no --index or --variant"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["search-bm25", "search-tfidf", "search-index",
+                                  "compare-baselines", "compare-runs"])
+def test_a_source_flag_no_engine_reads_is_not_opened_and_warns_once(workspace, capsys, case):
+    argv, unread, warning = unread_source_argv(workspace, case)
+    capsys.readouterr()
+    without = cli.main(argv), capsys.readouterr().out
+    code = cli.main([*argv, *unread])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == without
+    assert without[0] == 0
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == [
+        f"warning: {warning}; not opened"]
+
+
+def test_a_failed_read_prints_one_error_and_no_warning(workspace, capsys):
+    # rws reads the index and bm25 the missing corpus; the lexicon is read by neither
+    argv = [*index_argv(workspace, "compare"), "--engine-b", "bm25",
+            "--corpus", str(workspace / "missing.jsonl"), "--lexicon", str(workspace / "missing.tsv")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and "missing.jsonl" in line
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_two_run_files(workspace, capsys):
