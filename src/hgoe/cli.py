@@ -23,11 +23,14 @@ from . import baseline, evaluation, trec
 from .errors import ConfigError, HgoeError, InputError
 from .hypergraph import Hypergraph, Variant
 from .indexer import index_corpus, load_corpus, load_embeddings, load_synonyms
-from .ranking import Ranking, RankingParams, run_timed, rws
+from .ranking import Ranking, RankingParams, map_query_to_seeds, run_timed, rws
 
 VARIANT_CHOICES = [v.value for v in Variant]
 ENGINE_CHOICES = ["rws", "tfidf", "bm25"]
 VARIANT_HELP = "graph built from --corpus (default base); with --index, must be the index's"
+# An rws ranking whose step budget (seeds x repeats x length) passes this warns on
+# stderr before it walks: `search` once per topic, `compare` once per repetition.
+STEP_BUDGET_WARNING = 1_000_000
 
 # A search ranks a query, keeping at most --k entries; baselines ignore params.
 Search = Callable[[str, RankingParams], Ranking]
@@ -297,7 +300,17 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         # in the process out of the collector's reach, not just the graph's,
         # which is a choice for a command to make and not for the library.
         gc.freeze()
-        searches["rws"] = lambda query, params: Ranking(rws(graph, query, params).entries[:k])
+
+        def search_rws(query: str, params: RankingParams) -> Ranking:
+            seeds = len(map_query_to_seeds(graph, query).seeds)
+            budget = seeds * params.repeats * params.walk_length
+            if budget > STEP_BUDGET_WARNING:
+                print(f"warning: query {query!r} may take up to {budget:,} steps ({seeds:,} seeds"
+                      f" x {params.repeats:,} repeats x length {params.walk_length}), above"
+                      f" {STEP_BUDGET_WARNING:,}", file=sys.stderr)
+            return Ranking(rws(graph, query, params).entries[:k])
+
+        searches["rws"] = search_rws
     if set(names) - {"rws"}:
         inverted = baseline.build_inverted(documents)
         searches["tfidf"] = lambda query, params: baseline.search_tfidf(inverted, query, k)

@@ -35,17 +35,22 @@ can enter the table during it, so it rules nothing out, checks no fatigue
 and only ticks the clock. Any other walk calls `_excluded_positions` at
 each step and `FatigueTable.advance` after it, O(1) amortised to expire
 old entries. There an out-edge is ruled out only when it is fatigued or
-every target other than the source is fatigued. With m nodes fatigued,
-the latter needs at most m + 1 targets, so a step reads only the first
-entries of `by_targets`, and stops at each one's first unfatigued target
-other than the source. Both variants bisect the current node's sorted
-out-edges for each fatigued edge, O(log deg) each. A step picks k among
-the eligible out-edges and steps k over the excluded positions.
-Unweighted, it draws integers(count); weighted, it bisects `weight_sums`
-when nothing is excluded, and otherwise lists the other out-edges'
-weights, O(deg). With no node fatigued, a weighted step picks the target
-from the edge's target table, building no list (`_weighted_target`);
-under node fatigue it lists the eligible targets. A walk with no eligible
+every target other than the source is fatigued. The excluded positions
+are listed, not collected in a set, and the list is sorted in place: the
+fatigued edges give distinct positions, bisecting the current node's
+sorted out-edges for each, O(log deg) each, and a position the node rule
+finds again is not added twice. With m nodes fatigued, the node rule
+needs an out-edge of at most m + 1 targets, so a step reads only the
+first entries of `by_targets` and stops at each one's first unfatigued
+target other than the source; when the node's fewest targets (the first
+count) exceed m + 1, it reads none. A step picks k among the eligible
+out-edges and steps k over the excluded positions. Unweighted, it draws
+integers(count); weighted, it bisects `weight_sums` when nothing is
+excluded, and otherwise lists the other out-edges' weights, O(deg). With
+no node fatigued, a weighted step picks the target from the edge's target
+table, building no list (`_weighted_target`); under node fatigue it lists
+the eligible targets: the edge's targets less the fatigued ones, by a
+filter that runs in C, then less the source. A walk with no eligible
 transition ends without a draw, so `rws` stops at the first round of
 walks (one from every seed) that takes no step: every later round would
 find the same table.
@@ -76,7 +81,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, filterfalse, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -333,7 +338,9 @@ def random_walk(
         else:
             edge = edges[edge_id]
             if fatigued or edge.head:
-                targets = [t for t in edge.targets if t != current and t not in fatigued]
+                targets = list(filterfalse(fatigued.__contains__, edge.head or edge.members))
+                if current in targets:
+                    targets.remove(current)
                 if weighted:
                     nodes = graph.nodes
                     weights = [nodes[t].weight for t in targets]
@@ -412,26 +419,37 @@ def _excluded_positions(
 
     The one statement of the edge rule; unweighted and weighted steps both
     use it. An out-edge is ruled out when it is fatigued, or when every
-    target other than source is fatigued. With m nodes fatigued, only an
-    out-edge of at most m + 1 targets can lose all of them, and those are
-    the first entries of `_out_edges_by_targets`.
+    target other than source is fatigued. Each fatigued edge in `out` gives
+    its own position; the node rule appends a position only if that rule
+    did not. With m nodes fatigued, only an out-edge of at most m + 1
+    targets can lose all of them, and those are the first entries of
+    `_out_edges_by_targets`; when even the first has more, none is read.
     """
-    excluded = set()
+    excluded = []
+    n = len(out)
     for edge_id in fatigue.edges:
         i = bisect_left(out, edge_id)
-        if i < len(out) and out[i] == edge_id:
-            excluded.add(i)
+        if i < n and out[i] == edge_id:
+            excluded.append(i)
     fatigued = fatigue.nodes
     if fatigued:
-        edges = graph.edges
-        positions, counts = _out_edges_by_targets(graph, source)
-        for i in positions[:bisect_right(counts, len(fatigued) + 1)]:
-            for target in edges[out[i]].targets:
-                if target != source and target not in fatigued:
-                    break
-            else:
-                excluded.add(i)
-    return sorted(excluded)
+        found = graph.by_targets.get(source)
+        if found is None:
+            found = _out_edges_by_targets(graph, source)
+        positions, counts = found
+        most = len(fatigued) + 1
+        if counts and counts[0] <= most:
+            edges = graph.edges
+            for i in positions[:bisect_right(counts, most)]:
+                edge = edges[out[i]]
+                for target in edge.head or edge.members:
+                    if target != source and target not in fatigued:
+                        break
+                else:
+                    if i not in excluded:
+                        excluded.append(i)
+    excluded.sort()
+    return excluded
 
 
 def _out_weight_sums(graph: Hypergraph, node_id: int) -> array:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 
 import pytest
 
@@ -702,6 +703,53 @@ def test_a_failed_read_prints_one_error_and_no_warning(workspace, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error:") and "missing.jsonl" in line
+
+
+# -- a warning before a costly topic -----------------------------------------------
+
+@pytest.fixture()
+def every_entity_workspace(tmp_path):
+    """12 documents, each linking its own entity "Ent <i>", so the token "ent" maps to
+    all 12 entities as seeds and "word3" to its one term node."""
+    lines = [json.dumps({"id": f"d{i}", "text": f"plain word{i}", "links": [f"Ent {i}"]})
+             for i in range(12)]
+    (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "topics.tsv").write_text("t1\tword3\nt2\tent\nt3\tword5\n", encoding="utf-8")
+    return tmp_path
+
+
+def test_a_topic_over_the_step_budget_warns_once_before_its_walks(
+        every_entity_workspace, capsys, monkeypatch):
+    argv = ["search", "--corpus", str(every_entity_workspace / "corpus.jsonl"),
+            "--topics", str(every_entity_workspace / "topics.tsv"), "--repeats", "10"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    unwarned = captured.out
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == []
+    rws = cli.rws
+
+    def marked(graph, query, params):
+        print(f"walks {query}", file=sys.stderr)
+        return rws(graph, query, params)
+
+    # "ent": 12 seeds x 10 repeats x length 2 = 240 steps; "word3" and "word5": 20 each
+    monkeypatch.setattr(cli, "rws", marked)
+    monkeypatch.setattr(cli, "STEP_BUDGET_WARNING", 239)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == unwarned
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == [
+        "walks word3",
+        "warning: query 'ent' may take up to 240 steps (12 seeds x 10 repeats x length 2),"
+        " above 239",
+        "walks ent",
+        "walks word5",
+    ]
+    monkeypatch.setattr(cli, "STEP_BUDGET_WARNING", 240)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == unwarned
+    assert "warning" not in captured.err
 
 
 # -- compare -------------------------------------------------------------------

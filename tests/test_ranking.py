@@ -595,6 +595,58 @@ def test_hub_steps_match_the_list_filter_rule(variant, node_fatigue, edge_fatigu
         assert sum(count for source, count in exclusions if source == hub) > 0
 
 
+def random_fatigue(rng, graph, source):
+    """A table of 0-12 fatigued edges and 0-12 fatigued nodes around source.
+
+    Most entries come from source's out-edges and their targets, whole target
+    sets at a time, so both exclusion rules fire; the rest are any id up to 3
+    past the graph's last, so some name nothing the graph holds.
+    """
+    out = graph.out_edges(source)
+    fatigue = FatigueTable()
+    for _ in range(int(rng.integers(0, 13))):
+        if out and rng.random() < 0.7:
+            fatigue.edges[out[int(rng.integers(len(out)))]] = 0
+        else:
+            fatigue.edges[int(rng.integers(len(graph.edges) + 3))] = 0
+    most = int(rng.integers(0, 13))
+    while len(fatigue.nodes) < most:
+        if out and rng.random() < 0.6:
+            edge = graph.edges[out[int(rng.integers(len(out)))]]
+            for target in edge.targets[:most - len(fatigue.nodes)]:
+                fatigue.nodes[target] = 0
+        else:
+            fatigue.nodes[int(rng.integers(len(graph.nodes) + 3))] = 0
+    return fatigue
+
+
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+def test_excluded_positions_follow_the_list_filter_rule(variant):
+    """Called alone, `_excluded_positions` lists, ascending and once each, the out-edges
+    that are fatigued or whose every target other than the source is fatigued."""
+    rng = np.random.default_rng(41)
+    graphs = [hub_graph(variant)[0]] + [graphgen.random_graph(rng, variant)[0] for _ in range(30)]
+    both_rules = skipped = 0
+    for graph in graphs:
+        for _ in range(300):
+            source = int(rng.integers(len(graph.nodes)))
+            fatigue = random_fatigue(rng, graph, source)
+            out = graph.out_edges(source)
+            by_edge = {i for i, e in enumerate(out) if e in fatigue.edges}
+            by_nodes = {
+                i for i, e in enumerate(out)
+                if all(t == source or t in fatigue.nodes for t in graph.edges[e].targets)
+            }
+            got = ranking._excluded_positions(graph, out, source, fatigue)
+            assert list(got) == sorted(by_edge | by_nodes)
+            both_rules += len(by_edge & by_nodes)
+            _, counts = ranking._out_edges_by_targets(graph, source)
+            m = len(fatigue.nodes)
+            skipped += m >= 1 and len(counts) > 0 and counts[0] > m + 1
+    assert both_rules >= 50
+    assert skipped >= 50
+
+
 # -- the expiry-clock fatigue table ---------------------------------------------
 
 class CountdownTable:
