@@ -302,13 +302,14 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         gc.freeze()
 
         def search_rws(query: str, params: RankingParams) -> Ranking:
-            seeds = len(map_query_to_seeds(graph, query).seeds)
+            seed_set = map_query_to_seeds(graph, query)
+            seeds = len(seed_set.seeds)
             budget = seeds * params.repeats * params.walk_length
             if budget > STEP_BUDGET_WARNING:
                 print(f"warning: query {query!r} may take up to {budget:,} steps ({seeds:,} seeds"
                       f" x {params.repeats:,} repeats x length {params.walk_length}), above"
                       f" {STEP_BUDGET_WARNING:,}", file=sys.stderr)
-            return Ranking(rws(graph, query, params).entries[:k])
+            return Ranking(rws(graph, seed_set, params).entries[:k])
 
         searches["rws"] = search_rws
     if set(names) - {"rws"}:

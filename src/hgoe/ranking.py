@@ -33,8 +33,8 @@ Cost of a step: `random_walk` states the step once, for every walk. A
 walk that starts with both windows 0 and the table empty is calm: nothing
 can enter the table during it, so it rules nothing out, checks no fatigue
 and only ticks the clock. Any other walk calls `_excluded_positions` at
-each step and `FatigueTable.advance` after it, O(1) amortised to expire
-old entries. There an out-edge is ruled out only when it is fatigued or
+each step and `FatigueTable.advance` after it, which checks one entry per
+kind for expiry. There an out-edge is ruled out only when it is fatigued or
 every target other than the source is fatigued. The excluded positions
 are listed, not collected in a set, and the list is sorted in place: the
 fatigued edges give distinct positions, bisecting the current node's
@@ -79,7 +79,6 @@ import hashlib
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, filterfalse, repeat
 from typing import Callable, Iterator, Sequence
@@ -136,50 +135,55 @@ class FatigueTable:
     `nodes` and `edges` map each fatigued element to the clock value at
     which its window ends: fatigued at clock t with window delta, it stays
     in the table until the tick to t + delta, so it blocks the next delta
-    decisions. `advance` pops expired entries from the front of two deques
-    of (expiry, id), O(1) amortised per tick. An element fatigued again
-    inside its window gets a later expiry, so its older deque entry finds
-    a different value and leaves it. Each deque stays in expiry order as
-    long as every call of one table passes the same windows, as the walks
-    of one ranking do. A step of `random_walk` reads `nodes` and `edges`
-    to rule out out-edges (`_excluded_positions`) and then calls
-    `advance`, except in a calm walk (both windows 0, the table empty),
-    which ticks `clock` itself: nothing can expire or enter.
+    decisions. Each dict is its own expiry queue. A kind keeps one window,
+    and a tick fatigues at most one element of it, moving one fatigued
+    again to the back, so its expiries are distinct and rise in insertion
+    order: the one entry that can end at a tick is the front one. Reading
+    it skips, in C, the slots deleted entries leave until the dict next
+    resizes, up to about two windows' worth. A calm walk (module docstring)
+    ticks `clock` itself, as nothing can expire or enter.
     """
 
-    __slots__ = ("nodes", "edges", "clock", "_node_expiries", "_edge_expiries")
+    __slots__ = ("nodes", "edges", "clock", "_windows")
 
     def __init__(self):
         self.nodes: dict[int, int] = {}
         self.edges: dict[int, int] = {}
         self.clock = 0
-        self._node_expiries: deque[tuple[int, int]] = deque()
-        self._edge_expiries: deque[tuple[int, int]] = deque()
+        self._windows = (0, 0)
 
     def advance(self, edge_id: int, target_id: int, node_fatigue: int, edge_fatigue: int) -> None:
         """Tick the clock for one executed step, then fatigue its elements.
 
-        Entries whose window ends at the new clock leave first, and the new
-        entries expire at clock + delta, so a fresh entry survives exactly
-        `delta` subsequent decisions.
+        The entry whose window ends at the new clock leaves first, and the
+        new entries expire at clock + delta, so a fresh entry survives
+        exactly `delta` subsequent decisions. A window of 0 fatigues nothing;
+        a kind's second non-zero window is an InputError.
         """
+        if (node_fatigue, edge_fatigue) != self._windows:
+            self._windows = self._joined((node_fatigue, edge_fatigue))
         clock = self.clock = self.clock + 1
-        nodes, expiries = self.nodes, self._node_expiries
-        while expiries and expiries[0][0] <= clock:
-            expiry, node = expiries.popleft()
-            if nodes.get(node) == expiry:
-                del nodes[node]
-        edges, expiries = self.edges, self._edge_expiries
-        while expiries and expiries[0][0] <= clock:
-            expiry, edge = expiries.popleft()
-            if edges.get(edge) == expiry:
-                del edges[edge]
+        nodes, edges = self.nodes, self.edges
+        if nodes:
+            front = next(iter(nodes))
+            if nodes[front] <= clock:
+                del nodes[front]
+        if edges:
+            front = next(iter(edges))
+            if edges[front] <= clock:
+                del edges[front]
         if node_fatigue > 0:
-            nodes[target_id] = expiry = clock + node_fatigue
-            self._node_expiries.append((expiry, target_id))
+            nodes.pop(target_id, None)
+            nodes[target_id] = clock + node_fatigue
         if edge_fatigue > 0:
-            edges[edge_id] = expiry = clock + edge_fatigue
-            self._edge_expiries.append((expiry, edge_id))
+            edges.pop(edge_id, None)
+            edges[edge_id] = clock + edge_fatigue
+
+    def _joined(self, windows: tuple[int, int]) -> tuple[int, int]:
+        """The table's windows with a call's non-zero ones added; a kind keeps its first."""
+        if any(held and new > 0 and new != held for held, new in zip(self._windows, windows)):
+            raise InputError(f"fatigue windows {windows} differ from this table's {self._windows}")
+        return tuple(held or max(new, 0) for held, new in zip(self._windows, windows))
 
 
 def query_stream_key(query: str) -> int:
@@ -496,25 +500,26 @@ def _cumulative_pick(weights: Sequence[float], u: float) -> int:
 
 def rws(
     graph: Hypergraph,
-    query: str,
+    query: str | SeedSet,
     params: RankingParams | None = None,
     step_listener: StepListener | None = None,
 ) -> Ranking:
     """Random walk score: rank documents by Document-edge visit share.
 
-    Seeds are walked repeat-major (for each repeat, every seed in ascending
-    node id order) against one shared fatigue table and one RNG stream,
-    until the repeats run out or a round of walks takes no step. The
-    result is deterministic for identical (graph, query, params).
+    `query` is the text or its SeedSet from `map_query_to_seeds`, whose text
+    keys the stream. Seeds are walked repeat-major (for each repeat, every
+    seed in ascending node id order) against one shared fatigue table and
+    one RNG stream, until the repeats run out or a round of walks takes no
+    step. The result is deterministic for identical (graph, query, params).
     """
     if not graph.frozen:
         raise InputError("graph must be frozen before ranking")
     if params is None:
         params = RankingParams()
-    seed_set = map_query_to_seeds(graph, query)
+    seed_set = query if isinstance(query, SeedSet) else map_query_to_seeds(graph, query)
     if not seed_set.seeds:
         return Ranking()
-    rng = walk_draws(graph.variant, query, params, len(seed_set.seeds))
+    rng = walk_draws(graph.variant, seed_set.query, params, len(seed_set.seeds))
     fatigue = FatigueTable()
     edges = graph.edges
     doc = EdgeKind.DOCUMENT

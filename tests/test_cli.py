@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from hgoe import CorpusDocument, Hypergraph, Variant, cli, index_corpus
+from hgoe import CorpusDocument, Hypergraph, Variant, cli, index_corpus, ranking
 from hgoe.trec import read_run
 
 CORPUS = "\n".join([
@@ -728,9 +728,9 @@ def test_a_topic_over_the_step_budget_warns_once_before_its_walks(
     assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == []
     rws = cli.rws
 
-    def marked(graph, query, params):
-        print(f"walks {query}", file=sys.stderr)
-        return rws(graph, query, params)
+    def marked(graph, seed_set, params):
+        print(f"walks {seed_set.query}", file=sys.stderr)
+        return rws(graph, seed_set, params)
 
     # "ent": 12 seeds x 10 repeats x length 2 = 240 steps; "word3" and "word5": 20 each
     monkeypatch.setattr(cli, "rws", marked)
@@ -750,6 +750,32 @@ def test_a_topic_over_the_step_budget_warns_once_before_its_walks(
     captured = capsys.readouterr()
     assert captured.out == unwarned
     assert "warning" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["search", "compare"])
+def test_an_rws_search_maps_each_query_once(every_entity_workspace, capsys, monkeypatch, command):
+    corpus, topics = (str(every_entity_workspace / name) for name in ("corpus.jsonl", "topics.tsv"))
+    argv = {
+        "search": ["search", "--corpus", corpus, "--topics", topics, "--repeats", "10"],
+        "compare": ["compare", "--corpus", corpus, "--topics", topics, "--engine-a", "rws",
+                    "--engine-b", "rws", "--edge-fatigue-b", "2", "--repeats", "10"],
+    }[command]
+    assert cli.main(argv) == 0
+    unpatched = capsys.readouterr().out
+    mapped = []
+    map_query_to_seeds = ranking.map_query_to_seeds
+
+    def counted(graph, query):
+        mapped.append(query)
+        return map_query_to_seeds(graph, query)
+
+    # rws maps through the ranking module's name, the budget warning through the CLI's
+    monkeypatch.setattr(ranking, "map_query_to_seeds", counted)
+    monkeypatch.setattr(cli, "map_query_to_seeds", counted)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == unpatched
+    walks = 1 if command == "search" else 2
+    assert sorted(mapped) == sorted(["word3", "ent", "word5"] * walks)
 
 
 # -- compare -------------------------------------------------------------------

@@ -387,10 +387,11 @@ def test_rws_is_deterministic():
     params = RankingParams(walk_length=3, repeats=40, rng_seed=9)
     query = "w01 w02 alpha"
     first = rws(graph, query, params)
-    second = rws(graph, query, params)
-    assert first.entries == second.entries
-    assert first.visit_counts == second.visit_counts
-    assert first.total_steps == second.total_steps
+    # the query's SeedSet in place of its text walks the same seeds on the same stream
+    for second in (rws(graph, query, params), rws(graph, map_query_to_seeds(graph, query), params)):
+        assert first.entries == second.entries
+        assert first.visit_counts == second.visit_counts
+        assert first.total_steps == second.total_steps
 
 
 def test_rng_seed_selects_the_stream():
@@ -695,6 +696,22 @@ def test_expiry_clock_matches_the_countdown_table(node_fatigue, edge_fatigue):
             assert table.edges.keys() == oracle.edges.keys()
 
 
+def test_a_kind_keeps_its_first_non_zero_window():
+    """A second window would let an entry end behind the front: node 2 fatigued
+    for 2 behind node 1 fatigued for 10 would stay blocked until clock 11."""
+    table = FatigueTable()
+    table.advance(100, 1, 10, 0)
+    with pytest.raises(InputError):
+        table.advance(101, 2, 2, 0)
+    assert (table.clock, table.nodes, table.edges) == (1, {1: 11}, {})
+    table.advance(101, 2, 0, 3)  # a window of 0 is always accepted; edges take their own
+    table.advance(102, 3, 10, 3)
+    table.advance(103, 4, 0, 0)
+    assert (table.clock, table.nodes, table.edges) == (4, {1: 11, 3: 13}, {101: 5, 102: 6})
+    with pytest.raises(InputError):
+        table.advance(104, 5, 0, 2)
+
+
 def test_fatigue_table_memory_stays_bounded(monkeypatch):
     graph, hub = hub_graph(Variant.BASE)
     params = {"node_fatigue": 10, "edge_fatigue": 3, "walk_length": 3}
@@ -710,12 +727,12 @@ def test_fatigue_table_memory_stays_bounded(monkeypatch):
 
         def check(clock, edge_id, target):
             table = tables[-1]
-            for window, entries, live in (
-                (params["node_fatigue"], table._node_expiries, table.nodes),
-                (params["edge_fatigue"], table._edge_expiries, table.edges),
-            ):
-                assert len(entries) <= window
-                assert sum(live[key] == expiry for expiry, key in entries) == len(live)
+            for window, live in ((params["node_fatigue"], table.nodes),
+                                 (params["edge_fatigue"], table.edges)):
+                expiries = list(live.values())
+                assert len(expiries) <= window
+                assert expiries == sorted(set(expiries))
+                assert all(expiry > clock for expiry in expiries)
 
         result = rws(graph, "leaf000", RankingParams(repeats=repeats, **params), check)
         assert result.total_steps > repeats
