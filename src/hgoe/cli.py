@@ -23,13 +23,16 @@ from . import baseline, evaluation, trec
 from .errors import ConfigError, HgoeError, InputError
 from .hypergraph import Hypergraph, Variant
 from .indexer import index_corpus, load_corpus, load_embeddings, load_synonyms
-from .ranking import Ranking, RankingParams, map_query_to_seeds, run_timed, rws
+from .ranking import (
+    Ranking, RankingParams, SeedSet, map_query_to_seeds, run_timed, rws, step_budget,
+)
 
 VARIANT_CHOICES = [v.value for v in Variant]
 ENGINE_CHOICES = ["rws", "tfidf", "bm25"]
 VARIANT_HELP = "graph built from --corpus (default base); with --index, must be the index's"
 # An rws ranking whose step budget (seeds x repeats x length) passes this warns on
-# stderr before it walks: `search` once per topic, `compare` once per repetition.
+# stderr before it walks: `search` once per topic, `compare` once per repetition,
+# `sweep` once per variant and topic.
 STEP_BUDGET_WARNING = 1_000_000
 
 # A search ranks a query, keeping at most --k entries; baselines ignore params.
@@ -302,14 +305,7 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         gc.freeze()
 
         def search_rws(query: str, params: RankingParams) -> Ranking:
-            seed_set = map_query_to_seeds(graph, query)
-            seeds = len(seed_set.seeds)
-            budget = seeds * params.repeats * params.walk_length
-            if budget > STEP_BUDGET_WARNING:
-                print(f"warning: query {query!r} may take up to {budget:,} steps ({seeds:,} seeds"
-                      f" x {params.repeats:,} repeats x length {params.walk_length}), above"
-                      f" {STEP_BUDGET_WARNING:,}", file=sys.stderr)
-            return Ranking(rws(graph, seed_set, params).entries[:k])
+            return Ranking(rws(graph, _seed_set(graph, query, params), params).entries[:k])
 
         searches["rws"] = search_rws
     if set(names) - {"rws"}:
@@ -317,6 +313,19 @@ def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
         searches["tfidf"] = lambda query, params: baseline.search_tfidf(inverted, query, k)
         searches["bm25"] = lambda query, params: baseline.search_bm25(inverted, query, k)
     return searches
+
+
+def _seed_set(graph: Hypergraph, query: str, params: RankingParams) -> SeedSet:
+    """The query's seeds; first a warning on stderr if its step budget passes
+    STEP_BUDGET_WARNING."""
+    seed_set = map_query_to_seeds(graph, query)
+    seeds = len(seed_set.seeds)
+    budget = step_budget(params, seeds)
+    if budget > STEP_BUDGET_WARNING:
+        print(f"warning: query {query!r} may take up to {budget:,} steps ({seeds:,} seeds"
+              f" x {params.repeats:,} repeats x length {params.walk_length}), above"
+              f" {STEP_BUDGET_WARNING:,}", file=sys.stderr)
+    return seed_set
 
 
 # -- search -------------------------------------------------------------------
@@ -427,12 +436,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_label = f"p_at_{args.k}"
     for variant in variants:
         graph = index_corpus(documents, variant, lexicon, embeddings)
+        # the cells differ only in fatigue, so they share each topic's step budget
+        seed_sets = [(topic_id, _seed_set(graph, query, cells[0][2])) for topic_id, query in topics]
         for node_fatigue, edge_fatigue, params in cells:
             doc_run: dict[str, list[str]] = {}
             total_steps = 0
             total_ns = 0
-            for topic_id, query in topics:
-                ranking, elapsed = run_timed(graph, query, params)
+            for topic_id, seed_set in seed_sets:
+                ranking, elapsed = run_timed(graph, seed_set, params)
                 doc_run[topic_id] = ranking.doc_ids()
                 total_steps += ranking.total_steps
                 total_ns += elapsed

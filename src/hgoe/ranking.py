@@ -30,30 +30,30 @@ for it, so it serves every later ranking of that graph:
   needs it (a weight is above 0, so a total never is).
 
 Cost of a step: `random_walk` states the step once, for every walk. A
-walk that starts with both windows 0 and the table empty is calm: nothing
-can enter the table during it, so it rules nothing out, checks no fatigue
-and only ticks the clock. Any other walk calls `_excluded_positions` at
-each step and `FatigueTable.advance` after it, which checks one entry per
-kind for expiry. There an out-edge is ruled out only when it is fatigued or
-every target other than the source is fatigued. The excluded positions
-are listed, not collected in a set, and the list is sorted in place: the
-fatigued edges give distinct positions, bisecting the current node's
-sorted out-edges for each, O(log deg) each, and a position the node rule
-finds again is not added twice. With m nodes fatigued, the node rule
-needs an out-edge of at most m + 1 targets, so a step reads only the
-first entries of `by_targets` and stops at each one's first unfatigued
-target other than the source; when the node's fewest targets (the first
-count) exceed m + 1, it reads none. A step picks k among the eligible
-out-edges and steps k over the excluded positions. Unweighted, it draws
-integers(count); weighted, it bisects `weight_sums` when nothing is
-excluded, and otherwise lists the other out-edges' weights, O(deg). With
-no node fatigued, a weighted step picks the target from the edge's target
-table, building no list (`_weighted_target`); under node fatigue it lists
-the eligible targets: the edge's targets less the fatigued ones, by a
-filter that runs in C, then less the source. A walk with no eligible
-transition ends without a draw, so `rws` stops at the first round of
-walks (one from every seed) that takes no step: every later round would
-find the same table.
+ranking makes its table with its two windows, and fatigue off means no
+check: a walk over a table whose windows are both 0 is calm, ruling
+nothing out and only ticking the clock. Any other walk calls
+`_excluded_positions` at each step and `FatigueTable.advance` after it,
+which checks one entry per kind for expiry. There an out-edge is ruled out
+only when it is fatigued or every target other than the source is
+fatigued. The excluded positions are listed, not collected in a set, and
+the list is sorted in place: the fatigued edges give distinct positions,
+bisecting the current node's sorted out-edges for each, O(log deg) each,
+and a position the node rule finds again is not added twice. With m nodes
+fatigued, the node rule needs an out-edge of at most m + 1 targets, so a
+step reads only the first entries of `by_targets` and stops at each one's
+first unfatigued target other than the source; when the node's fewest
+targets (the first count) exceed m + 1, it reads none. A step picks k
+among the eligible out-edges and steps k over the excluded positions.
+Unweighted, it draws integers(count); weighted, it bisects `weight_sums`
+when nothing is excluded, and otherwise lists the other out-edges'
+weights, O(deg). With no node fatigued, a weighted step picks the target
+from the edge's target table, building no list (`_weighted_target`); under
+node fatigue it lists the eligible targets: the edge's targets less the
+fatigued ones, by a filter that runs in C, then less the source. A walk
+with no eligible transition ends without a draw, so `rws` stops at the
+first round of walks (one from every seed) that takes no step: every later
+round would find the same table.
 
 Randomness: every invocation derives one PCG64 stream from
 SeedSequence([rng_seed, query_key]) where query_key is the first 8 bytes
@@ -130,38 +130,40 @@ class Ranking:
 
 
 class FatigueTable:
-    """The fatigue clock and the elements it blocks.
+    """The fatigue clock, the ranking's two windows, and the elements they block.
 
     `nodes` and `edges` map each fatigued element to the clock value at
     which its window ends: fatigued at clock t with window delta, it stays
     in the table until the tick to t + delta, so it blocks the next delta
-    decisions. Each dict is its own expiry queue. A kind keeps one window,
-    and a tick fatigues at most one element of it, moving one fatigued
-    again to the back, so its expiries are distinct and rise in insertion
-    order: the one entry that can end at a tick is the front one. Reading
-    it skips, in C, the slots deleted entries leave until the dict next
-    resizes, up to about two windows' worth. A calm walk (module docstring)
-    ticks `clock` itself, as nothing can expire or enter.
+    decisions. Each dict is its own expiry queue. A kind has one window,
+    and a tick fatigues at most one element of it, so its expiries are
+    distinct and rise in insertion order: the one entry that can end at a
+    tick is the front one. Reading it skips, in C, the slots deleted
+    entries leave until the dict next resizes, up to about two windows'
+    worth. A table with both windows 0 never holds an entry, so a calm walk
+    over it (module docstring) ticks `clock` itself.
     """
 
-    __slots__ = ("nodes", "edges", "clock", "_windows")
+    __slots__ = ("nodes", "edges", "clock", "node_fatigue", "edge_fatigue")
 
-    def __init__(self):
+    def __init__(self, node_fatigue: int = 0, edge_fatigue: int = 0):
+        if node_fatigue < 0 or edge_fatigue < 0:
+            raise InputError("fatigue values must be non-negative")
         self.nodes: dict[int, int] = {}
         self.edges: dict[int, int] = {}
         self.clock = 0
-        self._windows = (0, 0)
+        self.node_fatigue = node_fatigue
+        self.edge_fatigue = edge_fatigue
 
-    def advance(self, edge_id: int, target_id: int, node_fatigue: int, edge_fatigue: int) -> None:
+    def advance(self, edge_id: int, target_id: int) -> None:
         """Tick the clock for one executed step, then fatigue its elements.
 
         The entry whose window ends at the new clock leaves first, and the
-        new entries expire at clock + delta, so a fresh entry survives
-        exactly `delta` subsequent decisions. A window of 0 fatigues nothing;
-        a kind's second non-zero window is an InputError.
+        new entries expire at clock + window, so a fresh entry survives
+        exactly `window` subsequent decisions. A walk never fatigues an
+        element inside its window again, but a direct caller can: the `pop`
+        moves it to the back, so insertion order stays expiry order.
         """
-        if (node_fatigue, edge_fatigue) != self._windows:
-            self._windows = self._joined((node_fatigue, edge_fatigue))
         clock = self.clock = self.clock + 1
         nodes, edges = self.nodes, self.edges
         if nodes:
@@ -172,18 +174,12 @@ class FatigueTable:
             front = next(iter(edges))
             if edges[front] <= clock:
                 del edges[front]
-        if node_fatigue > 0:
+        if self.node_fatigue:
             nodes.pop(target_id, None)
-            nodes[target_id] = clock + node_fatigue
-        if edge_fatigue > 0:
+            nodes[target_id] = clock + self.node_fatigue
+        if self.edge_fatigue:
             edges.pop(edge_id, None)
-            edges[edge_id] = clock + edge_fatigue
-
-    def _joined(self, windows: tuple[int, int]) -> tuple[int, int]:
-        """The table's windows with a call's non-zero ones added; a kind keeps its first."""
-        if any(held and new > 0 and new != held for held, new in zip(self._windows, windows)):
-            raise InputError(f"fatigue windows {windows} differ from this table's {self._windows}")
-        return tuple(held or max(new, 0) for held, new in zip(self._windows, windows))
+            edges[edge_id] = clock + self.edge_fatigue
 
 
 def query_stream_key(query: str) -> int:
@@ -252,9 +248,14 @@ def _blocks(read: Callable[[int], np.ndarray], budget: int) -> Iterator:
     return chain.from_iterable(map(lambda n: read(n).tolist(), sizes))
 
 
+def step_budget(params: RankingParams, seed_count: int) -> int:
+    """The most steps a ranking from seed_count seeds can take: seeds x repeats x length."""
+    return seed_count * params.repeats * params.walk_length
+
+
 def walk_draws(variant: Variant, query: str, params: RankingParams, seed_count: int) -> BlockDraws:
     """The draws rws walks with: make_stream read in blocks, two calls budgeted per step."""
-    budget = 2 * params.repeats * seed_count * params.walk_length
+    budget = 2 * step_budget(params, seed_count)
     return BlockDraws(
         make_stream(params.rng_seed, query), variant is not Variant.WEIGHTED, budget
     )
@@ -281,7 +282,6 @@ def random_walk(
     start: int,
     length: int,
     fatigue: FatigueTable,
-    params: RankingParams,
     rng: np.random.Generator | BlockDraws,
     step_listener: StepListener | None = None,
 ) -> tuple[list[int], list[int], int]:
@@ -289,14 +289,13 @@ def random_walk(
 
     Returns (visited edge ids, visited node ids, steps taken). The start
     node is not a visit. The walk ends early, without a draw, when no
-    eligible transition remains. A walk is calm when it starts with both
-    windows 0 and the table empty: nothing can enter the table during it,
-    so it rules nothing out and only ticks the clock. Any other walk rules
+    eligible transition remains. The table's windows are the walk's: with
+    both 0 the walk is calm and only ticks the clock; otherwise it rules
     out what fatigue blocks at each step (`_excluded_positions`) and feeds
     the table through `FatigueTable.advance`.
     """
     fatigued = fatigue.nodes
-    calm = not (params.node_fatigue or params.edge_fatigue or fatigued or fatigue.edges)
+    calm = not (fatigue.node_fatigue or fatigue.edge_fatigue)
     weighted = graph.variant is Variant.WEIGHTED
     edges = graph.edges
     walk_table = graph.walk_table
@@ -362,7 +361,7 @@ def random_walk(
         if calm:
             fatigue.clock += 1
         else:
-            fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
+            fatigue.advance(edge_id, target)
         if step_listener is not None:
             step_listener(fatigue.clock, edge_id, target)
         current = target
@@ -520,7 +519,7 @@ def rws(
     if not seed_set.seeds:
         return Ranking()
     rng = walk_draws(graph.variant, seed_set.query, params, len(seed_set.seeds))
-    fatigue = FatigueTable()
+    fatigue = FatigueTable(params.node_fatigue, params.edge_fatigue)
     edges = graph.edges
     doc = EdgeKind.DOCUMENT
     visit_counts: dict[int, int] = {}
@@ -529,7 +528,7 @@ def rws(
         steps_before = total_steps
         for seed in seed_set.seeds:
             visited_edges, _, steps = random_walk(
-                graph, seed, params.walk_length, fatigue, params, rng, step_listener
+                graph, seed, params.walk_length, fatigue, rng, step_listener
             )
             total_steps += steps
             for edge_id in visited_edges:
@@ -548,7 +547,7 @@ def rws(
 
 
 def run_timed(
-    graph: Hypergraph, query: str, params: RankingParams | None = None
+    graph: Hypergraph, query: str | SeedSet, params: RankingParams | None = None
 ) -> tuple[Ranking, int]:
     """Run rws and report (ranking, elapsed nanoseconds)."""
     started = time.perf_counter_ns()

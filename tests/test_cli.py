@@ -752,6 +752,52 @@ def test_a_topic_over_the_step_budget_warns_once_before_its_walks(
     assert "warning" not in captured.err
 
 
+def test_a_sweep_warns_once_per_variant_and_topic_over_the_step_budget(
+        every_entity_workspace, capsys, monkeypatch):
+    workspace = every_entity_workspace
+    (workspace / "qrels.txt").write_text("t1 0 d3 1\nt2 0 d0 1\nt3 0 d5 1\n", encoding="utf-8")
+    (workspace / "lexicon.tsv").write_text("plain\tsimple\n", encoding="utf-8")
+    (workspace / "vectors.txt").write_text("2 3\nplain 1 0 0\nword3 0.9 0.1 0\n", encoding="utf-8")
+    argv = ["sweep", *(f"--{flag}={workspace / name}" for flag, name in [
+                ("corpus", "corpus.jsonl"), ("topics", "topics.tsv"), ("qrels", "qrels.txt"),
+                ("lexicon", "lexicon.tsv"), ("embeddings", "vectors.txt")]),
+            "--variants", "base", "weighted", "--repeats", "10", "--out", str(workspace)]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    unwarned, csv_bytes = captured.out, (workspace / "sweep.csv").read_bytes()
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == []
+    mapped = []
+    map_query_to_seeds, run_timed = cli.map_query_to_seeds, cli.run_timed
+
+    def counted(graph, query):
+        mapped.append(query)
+        return map_query_to_seeds(graph, query)
+
+    def marked(graph, seed_set, params):
+        print(f"walks {seed_set.query}", file=sys.stderr)
+        return run_timed(graph, seed_set, params)
+
+    monkeypatch.setattr(ranking, "map_query_to_seeds", counted)
+    monkeypatch.setattr(cli, "map_query_to_seeds", counted)
+    monkeypatch.setattr(cli, "run_timed", marked)
+    monkeypatch.setattr(cli, "STEP_BUDGET_WARNING", 239)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, (workspace / "sweep.csv").read_bytes()) == (unwarned, csv_bytes)
+    # each variant maps each topic once and warns about "ent" before its first cell (of 4)
+    cells = ["walks word3", "walks ent", "walks word5"] * 4
+    warning = ("warning: query 'ent' may take up to 240 steps (12 seeds x 10 repeats x length 2),"
+               " above 239")
+    assert [line for line in captured.err.splitlines() if not line.startswith("time.")] == [
+        warning, *cells, warning, *cells]
+    assert mapped == ["word3", "ent", "word5"] * 2
+    monkeypatch.setattr(cli, "STEP_BUDGET_WARNING", 240)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == unwarned
+    assert "warning" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["search", "compare"])
 def test_an_rws_search_maps_each_query_once(every_entity_workspace, capsys, monkeypatch, command):
     corpus, topics = (str(every_entity_workspace / name) for name in ("corpus.jsonl", "topics.tsv"))

@@ -21,7 +21,6 @@ from hgoe import (
     InputError,
     InvariantError,
     NodeKind,
-    RankingParams,
     Variant,
     index_corpus,
     random_walk,
@@ -255,21 +254,21 @@ def one_step_reach(graph, node, fatigue_nodes=(), fatigue_edges=(), streams=64):
 
     The given nodes and edges are fatigued through `advance`, one call each,
     with a window longer than the number of calls, so all are still fatigued
-    when the walk starts.
+    when the walk starts. Each call fatigues both kinds, so the other kind
+    gets a stand-in id past the graph's last, which no step can meet.
     """
     window = len(fatigue_nodes) + len(fatigue_edges) + 1
-    params = RankingParams(node_fatigue=window, edge_fatigue=window)
+    stand_in_node, stand_in_edge = len(graph.nodes), len(graph.edges)
     reached = set()
     for seed in range(streams):
-        fatigue = FatigueTable()
+        fatigue = FatigueTable(window, window)
         for fatigued_node in fatigue_nodes:
-            fatigue.advance(0, fatigued_node, window, 0)
+            fatigue.advance(stand_in_edge, fatigued_node)
         for fatigued_edge in fatigue_edges:
-            fatigue.advance(fatigued_edge, 0, 0, window)
-        assert fatigue.nodes.keys() == set(fatigue_nodes)
-        assert fatigue.edges.keys() == set(fatigue_edges)
-        edges, nodes, _ = random_walk(graph, node, 1, fatigue, params,
-                                      make_stream(seed, "reach"))
+            fatigue.advance(fatigued_edge, stand_in_node)
+        assert fatigue.nodes.keys() - {stand_in_node} == set(fatigue_nodes)
+        assert fatigue.edges.keys() - {stand_in_edge} == set(fatigue_edges)
+        edges, nodes, _ = random_walk(graph, node, 1, fatigue, make_stream(seed, "reach"))
         reached.update(zip(edges, nodes))
     return sorted(reached)
 
@@ -316,11 +315,11 @@ def test_source_node_never_a_target():
         for node_fatigue in (0, 1):
             # one table for all walks, so a walk can start on an unfatigued
             # node while other nodes are fatigued
-            params, fatigue = RankingParams(node_fatigue=node_fatigue), FatigueTable()
+            fatigue = FatigueTable(node_fatigue)
             for node in graph.nodes:
                 for seed in range(8):
                     edges, nodes, _ = random_walk(graph, node.node_id, 4, fatigue,
-                                                  params, make_stream(seed, "source"))
+                                                  make_stream(seed, "source"))
                     path = [node.node_id, *nodes]
                     for source, edge_id, target in zip(path, edges, nodes):
                         assert edge_id in graph.out_edges(source)

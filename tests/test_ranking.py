@@ -112,23 +112,21 @@ def line_graph():
 def test_walk_bounces_along_single_edge():
     graph, a, b, e = line_graph()
     rng = make_stream(0, "probe")
-    edges, nodes, steps = random_walk(graph, a, 3, FatigueTable(), RankingParams(), rng)
+    edges, nodes, steps = random_walk(graph, a, 3, FatigueTable(), rng)
     assert (edges, nodes, steps) == ([e, e, e], [b, a, b], 3)
 
 
 def test_walk_edge_fatigue_ends_walk_early():
     graph, a, b, e = line_graph()
-    params = RankingParams(edge_fatigue=2)
     rng = make_stream(0, "probe")
-    edges, nodes, steps = random_walk(graph, a, 3, FatigueTable(), params, rng)
+    edges, nodes, steps = random_walk(graph, a, 3, FatigueTable(edge_fatigue=2), rng)
     assert (edges, nodes, steps) == ([e], [b], 1)
 
 
 def test_walk_node_fatigue_blocks_refatigued_target():
     graph, a, b, e = line_graph()
-    params = RankingParams(node_fatigue=3)
     rng = make_stream(0, "probe")
-    edges, nodes, steps = random_walk(graph, a, 5, FatigueTable(), params, rng)
+    edges, nodes, steps = random_walk(graph, a, 5, FatigueTable(node_fatigue=3), rng)
     # a -> b, b -> a, then b is still inside its window: the walk starves
     assert (edges, nodes, steps) == ([e, e], [b, a], 2)
 
@@ -140,7 +138,7 @@ def test_walk_from_isolated_node():
     g.add_edge(EdgeKind.SYNONYM, members=[other, g.upsert_node(NodeKind.TERM, "third")])
     g.freeze()
     rng = make_stream(0, "probe")
-    assert random_walk(g, lone, 4, FatigueTable(), RankingParams(), rng) == ([], [], 0)
+    assert random_walk(g, lone, 4, FatigueTable(), rng) == ([], [], 0)
 
 
 def test_locked_up_walk_makes_no_draw_until_the_clock_ticks():
@@ -149,24 +147,23 @@ def test_locked_up_walk_makes_no_draw_until_the_clock_ticks():
     e_ab = g.add_edge(EdgeKind.SYNONYM, members=[a, b])
     e_cd = g.add_edge(EdgeKind.SYNONYM, members=[c, d])
     g.freeze()
-    params = RankingParams(node_fatigue=1)
-    fatigue, rng = FatigueTable(), make_stream(0, "lock")
-    assert random_walk(g, a, 1, fatigue, params, rng) == ([e_ab], [b], 1)
+    fatigue, rng = FatigueTable(node_fatigue=1), make_stream(0, "lock")
+    assert random_walk(g, a, 1, fatigue, rng) == ([e_ab], [b], 1)
     # b is fatigued for the next decision, so a has no transition: each
     # attempt finds that out and ends without a draw
     for _ in range(2):
         state = rng.bit_generator.state
-        assert random_walk(g, a, 3, fatigue, params, rng) == ([], [], 0)
+        assert random_walk(g, a, 3, fatigue, rng) == ([], [], 0)
         assert rng.bit_generator.state == state
     # a step elsewhere ticks the clock, which ends b's window
-    assert random_walk(g, c, 1, fatigue, params, rng) == ([e_cd], [d], 1)
-    assert random_walk(g, a, 1, fatigue, params, rng) == ([e_ab], [b], 1)
+    assert random_walk(g, c, 1, fatigue, rng) == ([e_cd], [d], 1)
+    assert random_walk(g, a, 1, fatigue, rng) == ([e_ab], [b], 1)
 
 
 def test_walk_rejects_unknown_start():
     graph, *_ = line_graph()
     with pytest.raises(InputError):
-        random_walk(graph, 99, 1, FatigueTable(), RankingParams(), make_stream(0, "x"))
+        random_walk(graph, 99, 1, FatigueTable(), make_stream(0, "x"))
 
 
 # -- the shared fatigue table and walk scheduling ------------------------------
@@ -219,14 +216,14 @@ def walk_every_round(graph, query, params, step_listener=None):
     if not seeds:
         return [], {}, 0, 0
     rng = walk_draws(graph.variant, query, params, len(seeds))
-    fatigue = FatigueTable()
+    fatigue = FatigueTable(params.node_fatigue, params.edge_fatigue)
     counts: dict[int, int] = {}
     steps = dead_rounds = 0
     for _ in range(params.repeats):
         before = steps
         for seed in seeds:
             visited, _, taken = random_walk(
-                graph, seed, params.walk_length, fatigue, params, rng, step_listener
+                graph, seed, params.walk_length, fatigue, rng, step_listener
             )
             steps += taken
             for edge_id in visited:
@@ -533,7 +530,7 @@ def hub_graph(variant: Variant):
     return g, hub
 
 
-def list_filter_walk(graph, start, length, fatigue, params, rng, exclusions):
+def list_filter_walk(graph, start, length, fatigue, rng, exclusions):
     """The edge rule spelled out: list every eligible out-edge, then pick from the list.
 
     An out-edge is eligible when it is not fatigued and reaches an unfatigued
@@ -566,7 +563,7 @@ def list_filter_walk(graph, start, length, fatigue, params, rng, exclusions):
         target = pick(targets, lambda t: graph.nodes[t].weight)
         visited_edges.append(edge_id)
         visited_nodes.append(target)
-        fatigue.advance(edge_id, target, params.node_fatigue, params.edge_fatigue)
+        fatigue.advance(edge_id, target)
         current = target
     return visited_edges, visited_nodes, len(visited_edges)
 
@@ -579,15 +576,15 @@ def list_filter_walk(graph, start, length, fatigue, params, rng, exclusions):
 def test_hub_steps_match_the_list_filter_rule(variant, node_fatigue, edge_fatigue):
     graph, hub = hub_graph(variant)
     assert len(graph.out_edges(hub)) >= 500
-    params = RankingParams(node_fatigue=node_fatigue, edge_fatigue=edge_fatigue)
-    engine_fatigue, oracle_fatigue = FatigueTable(), FatigueTable()
+    engine_fatigue = FatigueTable(node_fatigue, edge_fatigue)
+    oracle_fatigue = FatigueTable(node_fatigue, edge_fatigue)
     engine_rng, oracle_rng = make_stream(3, "hub"), make_stream(3, "hub")
     starts = [hub if i % 4 else i % len(graph.nodes) for i in range(400)]
     exclusions: list[tuple[int, int]] = []
     steps = 0
     for start in starts:
-        got = random_walk(graph, start, 5, engine_fatigue, params, engine_rng)
-        want = list_filter_walk(graph, start, 5, oracle_fatigue, params, oracle_rng, exclusions)
+        got = random_walk(graph, start, 5, engine_fatigue, engine_rng)
+        want = list_filter_walk(graph, start, 5, oracle_fatigue, oracle_rng, exclusions)
         assert got == want
         assert engine_rng.bit_generator.state == oracle_rng.bit_generator.state
         steps += got[2]
@@ -679,7 +676,7 @@ def test_expiry_clock_matches_the_countdown_table(node_fatigue, edge_fatigue):
     rng = np.random.default_rng(100 + 10 * node_fatigue + edge_fatigue)
     for _ in range(4):
         graph, _ = graphgen.random_graph(rng)
-        table, oracle = FatigueTable(), CountdownTable()
+        table, oracle = FatigueTable(node_fatigue, edge_fatigue), CountdownTable()
         recent: list[tuple[int, int]] = []
         for tick in range(150):
             if recent and rng.random() < 0.5:
@@ -689,27 +686,25 @@ def test_expiry_clock_matches_the_countdown_table(node_fatigue, edge_fatigue):
                 edge_id = int(rng.integers(len(graph.edges)))
                 node_id = int(rng.integers(len(graph.nodes)))
             recent = [*recent[-4:], (edge_id, node_id)]
-            table.advance(edge_id, node_id, node_fatigue, edge_fatigue)
+            table.advance(edge_id, node_id)
             oracle.advance(edge_id, node_id, node_fatigue, edge_fatigue)
             assert table.clock == tick + 1
             assert table.nodes.keys() == oracle.nodes.keys()
             assert table.edges.keys() == oracle.edges.keys()
 
 
-def test_a_kind_keeps_its_first_non_zero_window():
-    """A second window would let an entry end behind the front: node 2 fatigued
-    for 2 behind node 1 fatigued for 10 would stay blocked until clock 11."""
+@pytest.mark.parametrize("windows", [(-1, 0), (0, -1)])
+def test_a_fatigue_table_rejects_a_negative_window(windows):
+    with pytest.raises(InputError):
+        FatigueTable(*windows)
+
+
+def test_a_table_with_both_windows_0_stays_empty():
+    rng = np.random.default_rng(5)
     table = FatigueTable()
-    table.advance(100, 1, 10, 0)
-    with pytest.raises(InputError):
-        table.advance(101, 2, 2, 0)
-    assert (table.clock, table.nodes, table.edges) == (1, {1: 11}, {})
-    table.advance(101, 2, 0, 3)  # a window of 0 is always accepted; edges take their own
-    table.advance(102, 3, 10, 3)
-    table.advance(103, 4, 0, 0)
-    assert (table.clock, table.nodes, table.edges) == (4, {1: 11, 3: 13}, {101: 5, 102: 6})
-    with pytest.raises(InputError):
-        table.advance(104, 5, 0, 2)
+    for tick in range(1, 2001):
+        table.advance(int(rng.integers(40)), int(rng.integers(40)))
+        assert (table.clock, table.nodes, table.edges) == (tick, {}, {})
 
 
 def test_fatigue_table_memory_stays_bounded(monkeypatch):
@@ -718,8 +713,8 @@ def test_fatigue_table_memory_stays_bounded(monkeypatch):
     tables: list[FatigueTable] = []
 
     class Recorded(FatigueTable):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *windows):
+            super().__init__(*windows)
             tables.append(self)
 
     monkeypatch.setattr(ranking, "FatigueTable", Recorded)
@@ -962,7 +957,7 @@ def test_weighted_target_stage_picks_what_the_filtered_list_picks():
         options = reference._options(g, incidence, source)
         seen = set()
         for _ in range(1000):
-            got = random_walk(g, source, 1, FatigueTable(), RankingParams(), engine)
+            got = random_walk(g, source, 1, FatigueTable(), engine)
             edge_weights = [g.edges[e].weight for e, _ in options]
             edge_id, targets = options[reference._weighted_pick(edge_weights, twin.random())]
             node_weights = [g.nodes[t].weight for t in targets]
@@ -1005,7 +1000,7 @@ def weighted_star(weights):
 def one_step(graph, start, u):
     """The target one weighted step from start takes when the target stage draws u."""
     _, visited, steps = random_walk(
-        graph, start, 1, FatigueTable(), RankingParams(), StubDraws([0.5, u])
+        graph, start, 1, FatigueTable(), StubDraws([0.5, u])
     )
     assert steps == 1
     return visited[0]
@@ -1076,7 +1071,7 @@ def test_weighted_edge_pick_at_the_top_of_the_draw_range_without_fatigue(u):
     g, source, leaves, edges = weighted_fan(FAN_WEIGHTS)
     want = len(edges) - 1 if u == 1.0 else len(edges) - 2
     assert want == ranking._cumulative_pick(FAN_WEIGHTS, u)
-    got = random_walk(g, source, 1, FatigueTable(), RankingParams(), StubDraws([u, 0.5]))
+    got = random_walk(g, source, 1, FatigueTable(), StubDraws([u, 0.5]))
     assert got == ([edges[want]], [leaves[want]], 1)
 
 
@@ -1094,15 +1089,14 @@ def test_weighted_edge_pick_at_the_top_of_the_draw_range_under_exclusions(u, fat
     """
     g, source, leaves, edges = weighted_fan(FAN_WEIGHTS)
     weights = FAN_WEIGHTS
-    params = RankingParams(edge_fatigue=5)
-    fatigue = FatigueTable()
+    fatigue = FatigueTable(edge_fatigue=5)
     for position in fatigued:
-        fatigue.advance(edges[position], leaves[position], 0, params.edge_fatigue)
+        fatigue.advance(edges[position], leaves[position])
     eligible = [i for i in range(len(edges)) if i not in fatigued]
     # 1e-17 is lost when added to the others' sum, so only u == 1.0 reaches it
     want = eligible[-1] if u == 1.0 or weights[eligible[-1]] > 1e-3 else eligible[-2]
     assert want == eligible[ranking._cumulative_pick([weights[i] for i in eligible], u)]
-    got = random_walk(g, source, 1, fatigue, params, StubDraws([u, 0.5]))
+    got = random_walk(g, source, 1, fatigue, StubDraws([u, 0.5]))
     assert got == ([edges[want]], [leaves[want]], 1)
 
 
@@ -1129,37 +1123,39 @@ def test_zero_windows_keep_a_node_without_out_edges_a_dead_end(variant):
     fatigue, rng = FatigueTable(), make_stream(0, "lone")
     for clock in (0, 1, 2):
         state = rng.bit_generator.state
-        assert random_walk(g, lone, 3, fatigue, RankingParams(), rng) == ([], [], 0)
+        assert random_walk(g, lone, 3, fatigue, rng) == ([], [], 0)
         assert rng.bit_generator.state == state
         assert fatigue.clock == clock
         # a step elsewhere ticks the clock: nothing can revive lone
-        assert random_walk(g, a, 1, fatigue, RankingParams(), rng) == ([e_ab], [b], 1)
+        assert random_walk(g, a, 1, fatigue, rng) == ([e_ab], [b], 1)
 
 
-def test_zero_windows_still_expire_a_table_filled_with_open_windows():
-    graph, e_a, e_b = two_component_graph()
-    s1, aux1, s2, aux2 = range(4)
-    table, twin = FatigueTable(), FatigueTable()
-    for t in (table, twin):
-        t.advance(e_a, aux1, 2, 2)  # aux1 and e_a blocked until the tick to clock 3
-    assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([], [], 0)
-    seen = []
-    got = random_walk(graph, s2, 4, table, RankingParams(), make_stream(0, "x"),
-                      lambda clock, edge_id, target: seen.append((clock, edge_id, target)))
-    assert got == ([e_b] * 4, [aux2, s2, aux2, s2], 4)
-    for clock, edge_id, target in seen:
-        twin.advance(edge_id, target, 0, 0)
-        assert clock == twin.clock
-    assert [clock for clock, _, _ in seen] == [2, 3, 4, 5]
-    assert (table.clock, table.nodes, table.edges) == (twin.clock, twin.nodes, twin.edges) == (5, {}, {})
-    # the tick to clock 3 ended the windows, so s1 walks again
-    assert random_walk(graph, s1, 1, table, RankingParams(), make_stream(0, "x")) == ([e_a], [aux1], 1)
+@pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
+def test_a_ranking_with_fatigue_off_checks_no_fatigue(monkeypatch, variant):
+    graph, hub = hub_graph(variant)
+
+    def refused(graph, out, source, fatigue):
+        raise AssertionError("a calm walk checks fatigue")
+
+    monkeypatch.setattr(ranking, "_excluded_positions", refused)
+    result = rws(graph, "hub leaf000", RankingParams(walk_length=3, repeats=40))
+    assert result.total_steps > 200
+    with pytest.raises(AssertionError, match="calm walk"):
+        rws(graph, "hub leaf000", RankingParams(walk_length=3, repeats=40, edge_fatigue=1))
+
+
+class TickingTable(FatigueTable):
+    """A table whose `advance` only ticks the clock, so it holds what it was given."""
+
+    def advance(self, edge_id, target_id):
+        self.clock += 1
 
 
 @pytest.mark.parametrize("variant", [Variant.BASE, Variant.WEIGHTED], ids=["base", "weighted"])
 @pytest.mark.parametrize("entry", ["node", "edge"])
 def test_a_zero_window_walk_checking_fatigue_walks_as_a_calm_walk(monkeypatch, variant, entry):
-    """A table entry for an id the graph lacks makes a walk check fatigue at every step, and changes nothing."""
+    """A non-zero window makes a walk check fatigue at every step; over a table that
+    holds only an id the graph lacks, it walks as the calm walk does, draw for draw."""
     excluded_positions, checks = ranking._excluded_positions, []
 
     def counted(graph, out, source, fatigue):
@@ -1177,10 +1173,11 @@ def test_a_zero_window_walk_checking_fatigue_walks_as_a_calm_walk(monkeypatch, v
             for forced in (False, True):
                 fatigue, stream, seen = FatigueTable(), make_stream(i, f"pin {start}"), []
                 if forced:
+                    fatigue = TickingTable(1, 0) if entry == "node" else TickingTable(0, 1)
                     table = fatigue.nodes if entry == "node" else fatigue.edges
                     table[len(graph.nodes) + len(graph.edges)] = length + 1
                 del checks[:]
-                got = random_walk(graph, start, length, fatigue, RankingParams(), stream,
+                got = random_walk(graph, start, length, fatigue, stream,
                                   lambda *step: seen.append(step))
                 # a calm walk checks nothing; the other checks before every step it tries
                 assert len(checks) == (0 if not forced else min(got[2] + 1, length))
