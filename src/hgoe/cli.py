@@ -34,6 +34,9 @@ VARIANT_HELP = "graph built from --corpus (default base); with --index, must be 
 # stderr before it walks: `search` once per topic, `compare` once per repetition,
 # `sweep` once per variant and topic.
 STEP_BUDGET_WARNING = 1_000_000
+# `evaluate` and `sweep` score the first RUN_K documents of a ranking, and `search`
+# and `compare` keep that many per topic by default (--k).
+RUN_K = 1000
 
 # A search ranks a query, keeping at most --k entries; baselines ignore params.
 Search = Callable[[str, RankingParams], Ranking]
@@ -102,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic-id", default="q1", help="topic id used with --query")
     p.add_argument("--topics", help="topics .tsv (topicId<TAB>query)")
     _add_walk_flags(p)
-    p.add_argument("--k", type=int, default=1000, help="entries kept per topic")
+    p.add_argument("--k", type=int, default=RUN_K, help="entries kept per topic")
     p.add_argument("--tag", default="hgoe", help="run tag written to the run lines")
     p.add_argument("--out", help="run file path (default: stdout)")
     p.set_defaults(handler=cmd_search)
@@ -122,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--topics")
     p.add_argument("--qrels")
-    _add_walk_flags(p, fatigue=False)
+    _add_walk_flags(p, sides=())
     p.add_argument("--k", type=int, default=10)
     for side in ("node", "edge"):
         p.add_argument(f"--{side}-fatigue-grid", default="0,10", help="comma list, default 0,10",
@@ -142,25 +145,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine-a", choices=ENGINE_CHOICES)
     p.add_argument("--engine-b", choices=ENGINE_CHOICES)
     p.add_argument("-m", "--repetitions", type=int, default=1)
-    _add_walk_flags(p)
-    p.add_argument("--node-fatigue-a", type=int)
-    p.add_argument("--edge-fatigue-a", type=int)
-    p.add_argument("--node-fatigue-b", type=int)
-    p.add_argument("--edge-fatigue-b", type=int)
-    p.add_argument("--k", type=int, default=1000)
+    _add_walk_flags(p, sides=("-a", "-b"))
+    p.add_argument("--k", type=int, default=RUN_K)
     p.add_argument("--json", dest="json_out")
     p.set_defaults(handler=cmd_compare)
     return parser
 
 
-def _add_walk_flags(p: argparse.ArgumentParser, fatigue: bool = True) -> None:
-    """The walk flags; sweep takes its fatigue from the grids instead."""
-    p.add_argument("--length", type=int, default=2, help="walk length")
-    p.add_argument("--repeats", type=int, default=1000, help="walks per seed")
-    if fatigue:
-        p.add_argument("--node-fatigue", type=int, default=0)
-        p.add_argument("--edge-fatigue", type=int, default=0)
-    p.add_argument("--rng-seed", type=int, default=0)
+def _add_walk_flags(p: argparse.ArgumentParser, sides: tuple[str, ...] = ("",)) -> None:
+    """The walk flags, defaulting to RankingParams()'s values, with a fatigue pair per
+    suffix in `sides`: `compare` sets each side's, `sweep` takes its from the grids."""
+    defaults = RankingParams()
+    p.add_argument("--length", type=int, default=defaults.walk_length, help="walk length")
+    p.add_argument("--repeats", type=int, default=defaults.repeats, help="walks per seed")
+    for side in sides:
+        p.add_argument(f"--node-fatigue{side}", type=int, default=defaults.node_fatigue)
+        p.add_argument(f"--edge-fatigue{side}", type=int, default=defaults.edge_fatigue)
+    p.add_argument("--rng-seed", type=int, default=defaults.rng_seed)
 
 
 def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
@@ -274,17 +275,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 # -- engines ------------------------------------------------------------------
 
-def _params(
-    args: argparse.Namespace, node_fatigue: int | None = None, edge_fatigue: int | None = None
-) -> RankingParams:
-    """The walk flags as RankingParams; a fatigue passed here beats its flag."""
-    return RankingParams(
-        walk_length=args.length,
-        repeats=args.repeats,
-        node_fatigue=args.node_fatigue if node_fatigue is None else node_fatigue,
-        edge_fatigue=args.edge_fatigue if edge_fatigue is None else edge_fatigue,
-        rng_seed=args.rng_seed,
-    )
+def _params(args: argparse.Namespace, node_fatigue: int, edge_fatigue: int) -> RankingParams:
+    """The walk flags, with the fatigue of one ranking, as RankingParams."""
+    return RankingParams(walk_length=args.length, repeats=args.repeats, node_fatigue=node_fatigue,
+                         edge_fatigue=edge_fatigue, rng_seed=args.rng_seed)
 
 
 def _engines(args: argparse.Namespace, names: list[str]) -> dict[str, Search]:
@@ -343,7 +337,7 @@ def _search_topics(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 def cmd_search(args: argparse.Namespace) -> int:
     _check_k(args.k)
-    params = _params(args)
+    params = _params(args, args.node_fatigue, args.edge_fatigue)
     trec.check_token("run tag", args.tag)
     _check_out("--out", args.out)
     topics = _search_topics(args)
@@ -365,19 +359,35 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 # -- evaluate -----------------------------------------------------------------
 
+def _score(run: dict[str, list[tuple[str, float]]], qrels: dict[str, dict[str, int]], k: int,
+           warn: bool = True) -> tuple[evaluation.MapResult, dict[str, float], float]:
+    """Score a run's rankings as `evaluate` and `sweep` both do: every ranked topic, and
+    every judged topic with a relevant document, on the first RUN_K documents of its
+    ranking; a judged topic with no ranking scores AP 0 and P@k 0 (trec_eval's -c).
+    With `warn`, a stderr line names each such topic and each unjudged one skipped."""
+    unranked = sorted(topic_id for topic_id, judged in qrels.items()
+                      if topic_id not in run and any(grade > 0 for grade in judged.values()))
+    scored = {topic_id: [doc for doc, _ in run.get(topic_id, [])[:RUN_K]]
+              for topic_id in [*run, *unranked]}
+    result, per_topic_p, mean_p = evaluation.evaluate_run(scored, qrels, k)
+    if warn:
+        for topic_id in unranked:
+            print(f"warning: topic {topic_id!r} has no ranking, scored 0", file=sys.stderr)
+        for topic_id in result.skipped_unknown:
+            print(f"warning: topic {topic_id!r} has no judgements, skipped", file=sys.stderr)
+    return result, per_topic_p, mean_p
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_k(args.k)
     _check_out("--json", args.json_out)
     run = trec.read_run(args.run)
     qrels = trec.read_qrels(args.qrels)
-    doc_run = {topic: [doc for doc, _ in entries] for topic, entries in run.items()}
-    result, per_topic_p, mean_p = evaluation.evaluate_run(doc_run, qrels, args.k)
+    result, per_topic_p, mean_p = _score(run, qrels, args.k)
     p_label = f"p_at_{args.k}"
     for topic_id, ap in result.per_topic.items():
         print(f"topic.{topic_id}.ap={ap:.6f}")
         print(f"topic.{topic_id}.{p_label}={per_topic_p[topic_id]:.6f}")
-    for topic_id in result.skipped_unknown:
-        print(f"warning: topic {topic_id!r} has no judgements, skipped", file=sys.stderr)
     print(f"map={result.mean:.6f}")
     print(f"{p_label}={mean_p:.6f}")
     print(f"topics.evaluated={len(result.per_topic)}")
@@ -439,15 +449,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # the cells differ only in fatigue, so they share each topic's step budget
         seed_sets = [(topic_id, _seed_set(graph, query, cells[0][2])) for topic_id, query in topics]
         for node_fatigue, edge_fatigue, params in cells:
-            doc_run: dict[str, list[str]] = {}
+            run: dict[str, list[tuple[str, float]]] = {}
             total_steps = 0
             total_ns = 0
             for topic_id, seed_set in seed_sets:
                 ranking, elapsed = run_timed(graph, seed_set, params)
-                doc_run[topic_id] = ranking.doc_ids()
+                run[topic_id] = ranking.entries
                 total_steps += ranking.total_steps
                 total_ns += elapsed
-            result, _, mean_p = evaluation.evaluate_run(doc_run, qrels, args.k)
+            # every cell ranks the same topics, so only the first one warns
+            result, _, mean_p = _score(run, qrels, args.k, warn=not rows)
             cell = {"variant": variant.value, "node_fatigue": node_fatigue,
                     "edge_fatigue": edge_fatigue}
             rows.append({**cell, "map": result.mean, p_label: mean_p,

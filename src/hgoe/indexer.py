@@ -93,15 +93,17 @@ def load_corpus(path: str) -> list[CorpusDocument]:
 
 
 def load_synonyms(path: str) -> list[tuple[str, ...]]:
-    """Read a synonym lexicon: one synset per line, labels tab-separated."""
+    """Read a synonym lexicon: one synset per line, labels tab-separated, each label
+    one token as `tokenize` keeps it, so a query can reach the term node it becomes."""
     synsets = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             labels = [part.strip().lower() for part in line.rstrip("\n").split("\t")]
-            if any(not label for label in labels):
-                raise FormatError(f"{path}:{lineno}: empty synonym label")
+            for label in labels:
+                if tokenize(label) != [label]:
+                    raise FormatError(f"{path}:{lineno}: synonym label {label!r} is not one token")
             distinct = tuple(dict.fromkeys(labels))
             if len(distinct) < 2:
                 raise FormatError(f"{path}:{lineno}: a synset needs at least two distinct labels")
@@ -221,14 +223,18 @@ def index_corpus(
 def extend_synonyms(graph: Hypergraph, lexicon: Iterable[Sequence[str]]) -> int:
     """Add one Synonym edge per synset that overlaps the graph vocabulary.
 
-    Synset members missing from the graph are created as term nodes.
-    Returns the number of Synonym edges added.
+    Synset members missing from the graph are created as term nodes, so each
+    label must be one token as `tokenize` keeps it. Returns the number of
+    Synonym edges added.
     """
     added = 0
     for synset in lexicon:
         labels = tuple(dict.fromkeys(synset))
         if len(labels) < 2:
             raise InputError("a synset needs at least two distinct labels")
+        for label in labels:
+            if tokenize(label) != [label]:
+                raise InputError(f"synonym label {label!r} is not one token")
         if not any(graph.node_id(NodeKind.TERM, label) is not None for label in labels):
             continue
         node_ids = graph.upsert_nodes(NodeKind.TERM, labels)

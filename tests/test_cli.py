@@ -386,6 +386,63 @@ def test_evaluate_missing_file_exits_2(workspace, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# d1 and d2 both link "Gamma Ray"; "unknownword" is in no document, so q2 ranks nothing.
+TWO_TOPICS = {
+    "corpus.jsonl": '{"id": "d1", "text": "alpha beta", "links": ["Gamma Ray"]}\n'
+                    '{"id": "d2", "text": "beta delta", "links": ["Gamma Ray"]}\n'
+                    '{"id": "d3", "text": "epsilon zeta", "links": []}\n',
+    "topics.tsv": "q1\talpha\nq2\tunknownword\n",
+    "qrels.txt": "q1 0 d1 1\nq2 0 d3 1\n",
+}
+
+
+def test_sweep_and_evaluate_score_a_topic_that_ranks_nothing_as_0(tmp_path, capsys):
+    for name, text in TWO_TOPICS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    corpus, topics, qrels, run = (str(tmp_path / name) for name in [*TWO_TOPICS, "run.txt"])
+    assert cli.main(["sweep", "--corpus", corpus, "--topics", topics, "--qrels", qrels,
+                     "--repeats", "50", "--node-fatigue-grid", "0", "--edge-fatigue-grid", "0"]) == 0
+    assert "map=0.500000 p_at_10=0.050000" in capsys.readouterr().out
+    assert cli.main(["search", "--corpus", corpus, "--topics", topics, "--repeats", "50",
+                     "--out", run]) == 0
+    capsys.readouterr()
+    assert {line.split()[0] for line in open(run, encoding="utf-8")} == {"q1"}
+    assert cli.main(["evaluate", "--run", run, "--qrels", qrels]) == 0
+    captured = capsys.readouterr()
+    values = keyvals(captured.out)
+    assert (values["map"], values["p_at_10"]) == ("0.500000", "0.050000")
+    assert (values["topic.q2.ap"], values["topics.evaluated"]) == ("0.000000", "2")
+    assert captured.err == "warning: topic 'q2' has no ranking, scored 0\n"
+    # a sweep whose topics leave out a judged one names it once, not once per cell
+    (tmp_path / "topics.tsv").write_text("q1\talpha\n", encoding="utf-8")
+    assert cli.main(["sweep", "--corpus", corpus, "--topics", topics, "--qrels", qrels,
+                     "--repeats", "50", "--node-fatigue-grid", "0,5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("map=0.500000 p_at_10=0.050000") == 4
+    assert [line for line in captured.err.splitlines() if line.startswith("warning")] == [
+        "warning: topic 'q2' has no ranking, scored 0"]
+
+
+def test_sweep_and_evaluate_score_the_first_run_k_documents(workspace, capsys, monkeypatch):
+    corpus, topics, qrels, run = (
+        str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "run.txt"))
+    sweep = ["sweep", "--corpus", corpus, "--topics", topics, "--qrels", qrels,
+             "--repeats", "200", "--node-fatigue-grid", "0", "--edge-fatigue-grid", "0"]
+
+    def sweep_and_evaluate():
+        assert cli.main(sweep) == 0
+        swept = keyvals(capsys.readouterr().out.replace(" ", "\n"))["map"]
+        assert cli.main(["search", "--corpus", corpus, "--topics", topics, "--repeats", "200",
+                         "--out", run]) == 0
+        assert cli.main(["evaluate", "--run", run, "--qrels", qrels]) == 0
+        return swept, keyvals(capsys.readouterr().out)["map"]
+
+    assert sweep_and_evaluate() == ("0.791667", "0.791667")
+    # t1 ranks d2, d1, d3: with RUN_K 2, search keeps two documents and sweep scores two
+    monkeypatch.setattr(cli, "RUN_K", 2)
+    assert sweep_and_evaluate() == ("0.625000", "0.625000")
+
+
 # -- sweep ---------------------------------------------------------------------
 
 def test_sweep_grid_rows_and_csv(workspace, capsys):
@@ -896,6 +953,30 @@ def test_compare_per_side_fatigue_flags(workspace, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "jaccard.mean=" in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--node-fatigue", "--edge-fatigue"])
+def test_compare_has_no_fatigue_flag_for_both_sides(workspace, capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["compare", "--corpus", str(workspace / "corpus.jsonl"),
+                  "--topics", str(workspace / "topics.tsv"),
+                  "--engine-a", "rws", "--engine-b", "rws", flag, "10"])
+    assert err.value.code == 2
+    assert f"ambiguous option: {flag} could match {flag}-a, {flag}-b" in capsys.readouterr().err
+
+
+def test_compare_per_side_fatigue_prints_what_the_shared_flag_printed(workspace, capsys):
+    # the stdout of `--node-fatigue 10` before that flag was dropped
+    shared = ("topic.t1.rho=0.750000\ntopic.t1.jaccard=1.000000\n"
+              "topic.t2.rho=0.750000\ntopic.t2.jaccard=1.000000\n"
+              "rho.mean=0.750000\nrho.std=0.000000\njaccard.mean=1.000000\n"
+              "jaccard.std=0.000000\nrepetitions=2\n")
+    assert cli.main([
+        "compare", "--corpus", str(workspace / "corpus.jsonl"),
+        "--topics", str(workspace / "topics.tsv"), "--engine-a", "rws", "--engine-b", "rws",
+        "--repeats", "100", "-m", "2", "--node-fatigue-a", "10", "--node-fatigue-b", "10",
+    ]) == 0
+    assert capsys.readouterr().out == shared
 
 
 def test_compare_needs_exactly_one_mode(workspace, capsys):

@@ -237,6 +237,14 @@ def test_mann_whitney_large_identical_samples():
     assert p == 1.0
 
 
+def test_mann_whitney_all_tied_samples_have_zero_variance_and_p_1():
+    # 14 values are past the exact limit; one tie group of 14 makes the
+    # normal approximation's variance 0, as when two systems' MAPs all tie.
+    u, p = mann_whitney_u([0.5] * 7, [0.5] * 7)
+    assert u == 24.5
+    assert p == 1.0
+
+
 def test_mann_whitney_large_shifted_samples():
     a = [float(x) for x in range(20)]
     b = [float(x + 20) for x in range(20)]

@@ -650,6 +650,39 @@ def test_load_synonyms_rejects_degenerate_lines(tmp_path, content):
         load_synonyms(str(path))
 
 
+@pytest.mark.parametrize("label", ["solar-power", "solar power", "solar_power", "-"])
+def test_load_synonyms_rejects_a_label_that_is_not_one_token(tmp_path, label):
+    path = tmp_path / "syn.tsv"
+    path.write_text(f"sun\tstar\n{label}\tsun\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_synonyms(str(path))
+    assert str(err.value) == f"{path}:2: synonym label {label!r} is not one token"
+
+
+def test_extend_synonyms_rejects_a_label_that_is_not_one_token():
+    # "solar-power" would be a term node whose only out-edge is its Synonym
+    # edge: walks from "sun" would step onto it, yet the query "solar-power"
+    # maps to the terms "solar" and "power", never to it.
+    docs = [CorpusDocument("d1", "the sun rises")]
+    with pytest.raises(InputError, match="'solar-power' is not one token"):
+        index_corpus(docs, Variant.SYNS_CONTEXT, lexicon=[("solar-power", "sun")], embeddings={})
+    graph = Hypergraph()
+    graph.upsert_node(NodeKind.TERM, "sun")
+    for label in ("solar-power", "Star", ""):
+        with pytest.raises(InputError, match=f"{label!r} is not one token"):
+            extend_synonyms(graph, [("sun", label)])
+    assert len(graph.nodes) == 1 and not graph.edges
+
+
+@pytest.mark.parametrize("header", ["two 3", "2 x", "2.0 3", "2 3.5"])
+def test_load_embeddings_rejects_a_header_that_is_not_two_integers(tmp_path, header):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"{header}\ncat 1 0 0\ndog 0 1 0\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:1: header must be 'count dim'"
+
+
 def test_load_embeddings_accepts_extreme_non_zero_components(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("2 2\ntiny 1e-200 0\nhuge 1e200 0\n", encoding="utf-8")

@@ -102,6 +102,12 @@ def test_read_qrels(tmp_path):
     }
 
 
+def test_read_qrels_skips_blank_lines(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("\nt1 0 docA 1\n  \n\nt2 0 docB 0\n\n", encoding="utf-8")
+    assert read_qrels(str(path)) == {"t1": {"docA": 1}, "t2": {"docB": 0}}
+
+
 @pytest.mark.parametrize("content,error", [
     ("t1 0 docA\n", FormatError),
     ("t1 0 docA one\n", FormatError),
