@@ -43,9 +43,9 @@ Search = Callable[[str, RankingParams], Ranking]
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and return its exit code. `search` and `compare`
-    call gc.freeze() once the rws graph is ready, which takes every object
-    in the process out of the collector's reach until gc.unfreeze()."""
+    """Run one subcommand and return its exit code. `search`, `compare` and
+    `sweep` call gc.freeze() once an rws graph is ready, which takes every
+    object in the process out of the collector's reach until gc.unfreeze()."""
     try:
         args = _parse_args(argv)
         return args.handler(args)
@@ -87,19 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build a hypergraph index from a .jsonl corpus")
     p.add_argument("--config", help="JSON file of flag values, keyed by flag; flags win")
-    p.add_argument("--corpus", help="corpus .jsonl path")
+    _add_source_flags(p)
     p.add_argument("--variant", choices=VARIANT_CHOICES, default=Variant.BASE.value)
-    p.add_argument("--lexicon", help="synonym lexicon .tsv (one synset per line)")
-    p.add_argument("--embeddings", help="word2vec text embeddings")
     p.add_argument("--out", help="output index path")
     p.set_defaults(handler=cmd_index, config_parser=p)
 
     p = sub.add_parser("search", help="rank documents for one query or a topics file")
-    p.add_argument("--index", help="hypergraph index path (rws engine)")
-    p.add_argument("--corpus", help="corpus .jsonl (baseline engines, or rws without an index)")
+    _add_source_flags(p, index=True)
     p.add_argument("--variant", choices=VARIANT_CHOICES, help=VARIANT_HELP)
-    p.add_argument("--lexicon")
-    p.add_argument("--embeddings")
     p.add_argument("--engine", choices=ENGINE_CHOICES, default="rws")
     p.add_argument("--query", help="ad hoc query text")
     p.add_argument("--topic-id", default="q1", help="topic id used with --query")
@@ -119,10 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of fatigue settings over variants, with MAP and timing")
     p.add_argument("--config", help="JSON file of flag values, keyed by flag; flags win")
-    p.add_argument("--corpus")
+    _add_source_flags(p)
     p.add_argument("--variants", nargs="+", choices=VARIANT_CHOICES, default=[Variant.BASE.value])
-    p.add_argument("--lexicon")
-    p.add_argument("--embeddings")
     p.add_argument("--topics")
     p.add_argument("--qrels")
     _add_walk_flags(p, sides=())
@@ -136,11 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="per-topic rank agreement between two runs or systems")
     p.add_argument("--run-a", help="first run file")
     p.add_argument("--run-b", help="second run file")
-    p.add_argument("--index", help="hypergraph index (rws sides)")
-    p.add_argument("--corpus", help="corpus .jsonl (baseline sides, or rws without an index)")
+    _add_source_flags(p, index=True)
     p.add_argument("--variant", choices=VARIANT_CHOICES, help=VARIANT_HELP)
-    p.add_argument("--lexicon")
-    p.add_argument("--embeddings")
     p.add_argument("--topics", help="topics .tsv (system mode)")
     p.add_argument("--engine-a", choices=ENGINE_CHOICES)
     p.add_argument("--engine-b", choices=ENGINE_CHOICES)
@@ -150,6 +140,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out")
     p.set_defaults(handler=cmd_compare)
     return parser
+
+
+def _add_source_flags(p: argparse.ArgumentParser, index: bool = False) -> None:
+    """The source flags but --variant, as `_open_sources` reads them; --index only
+    where an rws engine may load a saved graph (`search` and `compare`)."""
+    if index:
+        p.add_argument("--index", help="hypergraph index path (rws engine)")
+    p.add_argument("--corpus", help="corpus .jsonl (tfidf, bm25, and rws without --index)")
+    p.add_argument("--lexicon", help="synonym lexicon .tsv (syns-context and weighted variants)")
+    p.add_argument("--embeddings", help="word2vec embeddings (syns-context and weighted variants)")
 
 
 def _add_walk_flags(p: argparse.ArgumentParser, sides: tuple[str, ...] = ("",)) -> None:
@@ -446,9 +446,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     p_label = f"p_at_{args.k}"
     for variant in variants:
         graph = index_corpus(documents, variant, lexicon, embeddings)
+        gc.freeze()  # as in _engines, so no collection walks the graph in a timed pass
         # the cells differ only in fatigue, so they share each topic's step budget
         seed_sets = [(topic_id, _seed_set(graph, query, cells[0][2])) for topic_id, query in topics]
         for node_fatigue, edge_fatigue, params in cells:
+            # An untimed pass first builds the walk tables the cell's rankings read and
+            # pays a process's first-ranking set-up, so the timed pass, which ranks alike,
+            # times warm walks whatever the grid order.
+            for _, seed_set in seed_sets:
+                rws(graph, seed_set, params)
             run: dict[str, list[tuple[str, float]]] = {}
             total_steps = 0
             total_ns = 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InputError, InternalError
 from .hypergraph import EdgeKind, Hypergraph, NodeKind, Variant, cyclic_collector_off
-from .trec import check_token, open_text
+from .trec import check_token, open_text, read_lines
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Every ASCII character the pattern above does not match, mapped to a space.
@@ -59,36 +59,33 @@ def load_corpus(path: str) -> list[CorpusDocument]:
     """Read a .jsonl corpus, validating ids, field types and that each document yields a term."""
     documents = []
     seen = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise FormatError(f"{path}:{lineno}: expected a JSON object")
-            doc_id = record.get("id")
-            text = record.get("text")
-            links = record.get("links", [])
-            if not isinstance(doc_id, str) or not doc_id:
-                raise FormatError(f"{path}:{lineno}: 'id' must be a non-empty string")
-            check_token("doc id", doc_id, f"{path}:{lineno}: ")
-            if not isinstance(text, str):
-                raise FormatError(f"{path}:{lineno}: 'text' must be a string")
-            if not isinstance(links, list) or any(not isinstance(x, str) for x in links):
-                raise FormatError(f"{path}:{lineno}: 'links' must be a list of strings")
-            if doc_id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            # str.lower moves no character into or out of the token class: search as given.
-            for name in links:
-                if not _TOKEN_RE.search(name):
-                    raise InputError(f"{path}:{lineno}: entity name {name!r} has no tokens")
-            if not links and not _TOKEN_RE.search(text):
-                raise InputError(f"{path}:{lineno}: document {doc_id!r} has no tokens and no links")
-            seen.add(doc_id)
-            documents.append(CorpusDocument(doc_id, text, tuple(links)))
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise FormatError(f"{path}:{lineno}: expected a JSON object")
+        doc_id = record.get("id")
+        text = record.get("text")
+        links = record.get("links", [])
+        if not isinstance(doc_id, str) or not doc_id:
+            raise FormatError(f"{path}:{lineno}: 'id' must be a non-empty string")
+        check_token("doc id", doc_id, f"{path}:{lineno}: ")
+        if not isinstance(text, str):
+            raise FormatError(f"{path}:{lineno}: 'text' must be a string")
+        if not isinstance(links, list) or any(not isinstance(x, str) for x in links):
+            raise FormatError(f"{path}:{lineno}: 'links' must be a list of strings")
+        if doc_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+        # str.lower moves no character into or out of the token class: search as given.
+        for name in links:
+            if not _TOKEN_RE.search(name):
+                raise InputError(f"{path}:{lineno}: entity name {name!r} has no tokens")
+        if not links and not _TOKEN_RE.search(text):
+            raise InputError(f"{path}:{lineno}: document {doc_id!r} has no tokens and no links")
+        seen.add(doc_id)
+        documents.append(CorpusDocument(doc_id, text, tuple(links)))
     return documents
 
 
@@ -96,18 +93,15 @@ def load_synonyms(path: str) -> list[tuple[str, ...]]:
     """Read a synonym lexicon: one synset per line, labels tab-separated, each label
     one token as `tokenize` keeps it, so a query can reach the term node it becomes."""
     synsets = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            labels = [part.strip().lower() for part in line.rstrip("\n").split("\t")]
-            for label in labels:
-                if tokenize(label) != [label]:
-                    raise FormatError(f"{path}:{lineno}: synonym label {label!r} is not one token")
-            distinct = tuple(dict.fromkeys(labels))
-            if len(distinct) < 2:
-                raise FormatError(f"{path}:{lineno}: a synset needs at least two distinct labels")
-            synsets.append(distinct)
+    for lineno, line in read_lines(path):
+        labels = [part.strip().lower() for part in line.split("\t")]
+        for label in labels:
+            if tokenize(label) != [label]:
+                raise FormatError(f"{path}:{lineno}: synonym label {label!r} is not one token")
+        distinct = tuple(dict.fromkeys(labels))
+        if len(distinct) < 2:
+            raise FormatError(f"{path}:{lineno}: a synset needs at least two distinct labels")
+        synsets.append(distinct)
     return synsets
 
 

@@ -3,6 +3,12 @@
 Run files use the six-column TREC layout "topicId Q0 docId rank score
 runTag", qrels the four-column "topicId 0 docId grade", and topics a
 two-column tab-separated "topicId<TAB>query" file.
+
+Every line-based input (runs, qrels, topics, the corpus and the synonym
+lexicon) is read by `read_lines`: blank lines are skipped, line numbers
+count every line from 1, blank ones included, and a file that is not
+UTF-8 is a FormatError naming it. An error in a line names it as
+`path:line`.
 """
 from __future__ import annotations
 
@@ -20,6 +26,15 @@ def open_text(path: str) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not valid UTF-8") from exc
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each non-blank line of a UTF-8 text input,
+    numbered from 1 over every line; each line keeps its newline."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
 
 
 def format_run_lines(
@@ -66,20 +81,17 @@ def write_run(
 def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
     """Parse a run file into topic -> [(doc id, score)] in rank order."""
     staged: dict[str, list[tuple[int, str, float]]] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 columns, found {len(parts)}")
-            topic_id, _, doc_id, rank_text, score_text, _ = parts
-            try:
-                rank = int(rank_text)
-                score = float(score_text)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad rank or score") from exc
-            staged.setdefault(topic_id, []).append((rank, doc_id, score))
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise FormatError(f"{path}:{lineno}: expected 6 columns, found {len(parts)}")
+        topic_id, _, doc_id, rank_text, score_text, _ = parts
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad rank or score") from exc
+        staged.setdefault(topic_id, []).append((rank, doc_id, score))
     run: dict[str, list[tuple[str, float]]] = {}
     for topic_id, rows in staged.items():
         rows.sort()
@@ -95,24 +107,21 @@ def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
 def read_qrels(path: str) -> dict[str, dict[str, int]]:
     """Parse relevance judgements into topic -> {doc id: grade}."""
     qrels: dict[str, dict[str, int]] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 columns, found {len(parts)}")
-            topic_id, _, doc_id, grade_text = parts
-            try:
-                grade = int(grade_text)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: grade must be an integer") from exc
-            by_doc = qrels.setdefault(topic_id, {})
-            if doc_id in by_doc:
-                raise InputError(
-                    f"{path}:{lineno}: duplicate judgement for topic {topic_id!r} doc {doc_id!r}"
-                )
-            by_doc[doc_id] = grade
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 columns, found {len(parts)}")
+        topic_id, _, doc_id, grade_text = parts
+        try:
+            grade = int(grade_text)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: grade must be an integer") from exc
+        by_doc = qrels.setdefault(topic_id, {})
+        if doc_id in by_doc:
+            raise InputError(
+                f"{path}:{lineno}: duplicate judgement for topic {topic_id!r} doc {doc_id!r}"
+            )
+        by_doc[doc_id] = grade
     return qrels
 
 
@@ -120,19 +129,15 @@ def read_topics(path: str) -> list[tuple[str, str]]:
     """Parse a topics file into (topic id, query) pairs in file order."""
     topics: list[tuple[str, str]] = []
     seen = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'topicId<TAB>query'")
-            topic_id, query = line.split("\t", 1)
-            if not topic_id or not query.strip():
-                raise FormatError(f"{path}:{lineno}: empty topic id or query")
-            check_token("topic id", topic_id, f"{path}:{lineno}: ")
-            if topic_id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate topic id {topic_id!r}")
-            seen.add(topic_id)
-            topics.append((topic_id, query.strip()))
+    for lineno, line in read_lines(path):
+        if "\t" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'topicId<TAB>query'")
+        topic_id, query = line.split("\t", 1)
+        if not topic_id or not query.strip():
+            raise FormatError(f"{path}:{lineno}: empty topic id or query")
+        check_token("topic id", topic_id, f"{path}:{lineno}: ")
+        if topic_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate topic id {topic_id!r}")
+        seen.add(topic_id)
+        topics.append((topic_id, query.strip()))
     return topics

@@ -10,8 +10,8 @@ import pytest
 def unfreeze_the_collector():
     """Undo a gc.freeze() a test leaves behind.
 
-    `hgoe search` and `compare` freeze the collector once their graph is
-    ready, and the tests call `cli.main` in this process, so without this
+    `hgoe search`, `compare` and `sweep` freeze the collector once their
+    graph is ready, and the tests call `cli.main` in this process, so without this
     every object those commands made would stay out of the collector's
     reach for the rest of the session.
     """

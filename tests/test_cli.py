@@ -855,6 +855,36 @@ def test_a_sweep_warns_once_per_variant_and_topic_over_the_step_budget(
     assert "warning" not in captured.err
 
 
+def test_a_sweep_times_no_ranking_that_grows_a_walk_table(every_entity_workspace, monkeypatch):
+    workspace = every_entity_workspace
+    (workspace / "qrels.txt").write_text("t1 0 d3 1\nt2 0 d0 1\n", encoding="utf-8")
+    (workspace / "lexicon.tsv").write_text("plain\tsimple\n", encoding="utf-8")
+    (workspace / "vectors.txt").write_text("2 3\nplain 1 0 0\nword3 0.9 0.1 0\n", encoding="utf-8")
+    sizes = []
+    run_timed = cli.run_timed
+
+    def tables(graph):
+        return len(graph.weight_sums), len(graph.target_tables), len(graph.by_targets)
+
+    def checked(graph, seed_set, params):
+        before = tables(graph)
+        timed = run_timed(graph, seed_set, params)
+        sizes.append((before, tables(graph)))
+        return timed
+
+    monkeypatch.setattr(cli, "run_timed", checked)
+    argv = ["sweep", *(f"--{flag}={workspace / name}" for flag, name in [
+                ("corpus", "corpus.jsonl"), ("topics", "topics.tsv"), ("qrels", "qrels.txt"),
+                ("lexicon", "lexicon.tsv"), ("embeddings", "vectors.txt")]),
+            "--variants", "base", "weighted", "--repeats", "10"]
+    assert cli.main(argv) == 0
+    # 2 variants x 4 cells x 3 topics, none growing a table; the weighted cells read all three
+    assert len(sizes) == 24
+    assert [before for before, _ in sizes] == [after for _, after in sizes]
+    assert all(sizes[-1][0])
+    assert gc.get_freeze_count() > 0  # nor does a collection walk the graph
+
+
 @pytest.mark.parametrize("command", ["search", "compare"])
 def test_an_rws_search_maps_each_query_once(every_entity_workspace, capsys, monkeypatch, command):
     corpus, topics = (str(every_entity_workspace / name) for name in ("corpus.jsonl", "topics.tsv"))

@@ -23,6 +23,7 @@ from hgoe import (
     NodeKind,
     Variant,
     index_corpus,
+    map_query_to_seeds,
     random_walk,
     tokenize,
 )
@@ -247,6 +248,32 @@ def test_add_edge_names_an_unknown_tail_node_before_a_head_node():
         g.add_edge(EdgeKind.CONTAINED_IN, tail=[a, 9], head=[-1, e])
     with pytest.raises(InputError, match="^unknown node id -4$"):
         g.add_edge(EdgeKind.CONTAINED_IN, tail=[-4, 8], head=[-1, e])
+
+
+def test_add_edge_takes_a_plain_int_kind_as_its_edge_kind():
+    g, a, b, c, e = small_graph()
+    contained = g.add_edge(int(EdgeKind.CONTAINED_IN), tail=[a], head=[e])
+    document = g.add_edge(0, members=[a, b], doc_id="d1")
+    assert [g.edges[edge].kind for edge in (contained, document)] == [
+        EdgeKind.CONTAINED_IN, EdgeKind.DOCUMENT]
+    assert g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e]) == contained
+
+
+def test_an_unfrozen_graph_refuses_to_be_walked():
+    g, a, b, c, e = small_graph()
+    g.add_edge(EdgeKind.CONTAINED_IN, tail=[a], head=[e])
+    g.add_edge(EdgeKind.DOCUMENT, members=[a, b], doc_id="d1")
+    refusals = [
+        lambda: g.out_edges(a),
+        lambda: g.contained_in(a),
+        lambda: random_walk(g, a, 1, FatigueTable(), make_stream(0, "a")),
+        lambda: map_query_to_seeds(g, "a"),
+    ]
+    for refused in refusals:
+        with pytest.raises(InvariantError, match="^graph must be frozen before walking$"):
+            refused()
+    g.freeze()
+    assert (g.out_edges(a), g.contained_in(a)) == ((0, 1), (e,))
 
 
 def one_step_reach(graph, node, fatigue_nodes=(), fatigue_edges=(), streams=64):

@@ -391,6 +391,15 @@ def test_rws_is_deterministic():
         assert first.total_steps == second.total_steps
 
 
+def test_rws_without_params_ranks_as_the_default_params():
+    graph, _ = fixtures.star_graph(weighted=True)
+    defaults = RankingParams()
+    unset, default = rws(graph, "alpha beta"), rws(graph, "alpha beta", defaults)
+    # both seeds walk every repeat to full length: no early end to hide a wrong default
+    assert unset.total_steps == 2 * defaults.repeats * defaults.walk_length
+    assert (unset.entries, unset.visit_counts) == (default.entries, default.visit_counts)
+
+
 def test_rng_seed_selects_the_stream():
     docs = [CorpusDocument(f"d{i}", f"common w{i:02d}") for i in range(8)]
     graph = index_corpus(docs)

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 
 from hgoe import FormatError, InputError
+from hgoe.indexer import load_corpus, load_synonyms
 from hgoe.trec import format_run_lines, read_qrels, read_run, read_topics, write_run
 
 
@@ -146,3 +148,19 @@ def test_read_topics_rejects_bad_lines(tmp_path, content, error):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(error):
         read_topics(str(path))
+
+
+@pytest.mark.parametrize("reader, good, bad, message", [
+    (read_run, "t1 Q0 d1 1 0.5 tag", "t1 Q0 d2 2", "expected 6 columns, found 4"),
+    (read_qrels, "t1 0 d1 1", "t1 0 d2", "expected 4 columns, found 3"),
+    (read_topics, "t1\tquery", "t2 no tab", "expected 'topicId<TAB>query'"),
+    (load_corpus, '{"id": "d1", "text": "a"}', '{"id": 2, "text": "b"}',
+     "'id' must be a non-empty string"),
+    (load_synonyms, "sun\tstar", "sun\tsun", "a synset needs at least two distinct labels"),
+], ids=["run", "qrels", "topics", "corpus", "lexicon"])
+def test_a_line_based_reader_names_a_bad_line_after_blank_ones_by_its_own_number(
+        tmp_path, reader, good, bad, message):
+    path = tmp_path / "input.txt"
+    path.write_text(f"{good}\n\n \t\n{bad}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+        reader(str(path))
