@@ -196,9 +196,10 @@ def _open_sources(args: argparse.Namespace, engines: list[str], variants: list[V
     """Open each source file the `engines` read, once: (index graph, documents, lexicon,
     embeddings), None for any not read; `index` and `sweep` run "rws", compare on run
     files none. rws reads --index (whose variant --variant must name if given), else
-    --corpus and, if one of `variants` is not base, --lexicon and --embeddings; tfidf
-    and bm25 read --corpus. Once every read has succeeded, one warning on stderr names
-    the source flags given but not read, which stay unopened."""
+    --corpus and, if one of `variants` is not base, --lexicon and --embeddings, both
+    checked given before any source is read; tfidf and bm25 read --corpus. Once every
+    read has succeeded, one warning on stderr names the source flags given but not
+    read, which stay unopened."""
     index = getattr(args, "index", None)
     read = set()
     reader = f"engine {'/'.join(dict.fromkeys(engines))}" if engines else "--run-a/--run-b"
@@ -207,8 +208,12 @@ def _open_sources(args: argparse.Namespace, engines: list[str], variants: list[V
             raise ConfigError("the rws engine needs --index or --corpus")
         read = {"variant", "index" if index else "corpus"}
         reader = "--index" if index else "variant base"
-        if not index and any(variant is not Variant.BASE for variant in variants):
+        enriched = [variant.value for variant in variants if variant is not Variant.BASE]
+        if not index and enriched:
             read |= {"lexicon", "embeddings"}
+            missing = [f"--{flag}" for flag in ("lexicon", "embeddings") if not getattr(args, flag)]
+            if missing:
+                raise ConfigError(f"variant {enriched[0]} needs {' and '.join(missing)}")
     if set(engines) - {"rws"}:
         if not args.corpus:
             raise ConfigError("the tfidf and bm25 engines need --corpus")
@@ -218,9 +223,8 @@ def _open_sources(args: argparse.Namespace, engines: list[str], variants: list[V
         raise ConfigError(
             f"--variant {args.variant} does not match the index's variant {graph.variant.value}")
     documents = load_corpus(args.corpus) if "corpus" in read else None
-    lexicon = load_synonyms(args.lexicon) if "lexicon" in read and args.lexicon else None
-    embeddings = (load_embeddings(args.embeddings)
-                  if "embeddings" in read and args.embeddings else None)
+    lexicon = load_synonyms(args.lexicon) if "lexicon" in read else None
+    embeddings = load_embeddings(args.embeddings) if "embeddings" in read else None
     unread = [f"--{flag}" for flag in ("index", "corpus", "variant", "lexicon", "embeddings")
               if getattr(args, flag, None) and flag not in read]
     if unread:

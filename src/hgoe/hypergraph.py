@@ -203,26 +203,16 @@ class Hypergraph:
     def upsert_nodes(self, kind: NodeKind, labels: Sequence[str]) -> list[int]:
         """Return the ids for labels of one kind, creating the missing nodes in order.
 
-        Known labels resolve in one pass over the kind's label table; only
-        the labels it lacks are checked and created. The ids, the nodes
-        created and the errors raised are those of `upsert_node` on each
-        label in turn: a batch that fails at a label keeps the nodes created
+        The ids, the nodes created and the errors raised are those of
+        `upsert_node` on each label in turn, the first label checked before
+        the kind: a batch that fails at a label keeps the nodes created
         before it, and a frozen graph rejects any non-empty batch.
         """
         if self._frozen and len(labels):
             raise InvariantError("graph is frozen")
-        try:
-            ids = list(map(self._node_index[kind].get, labels))
-        except (KeyError, TypeError):  # kind is no NodeKind, or a label is unhashable
-            ids = [None] * len(labels)
-        if None not in ids:
-            return ids
-        nodes = self.nodes
+        ids = []
         index = None
-        for i in range(ids.index(None), len(ids)):
-            if ids[i] is not None:
-                continue
-            label = labels[i]
+        for label in labels:
             if not isinstance(label, str) or not label:
                 raise InputError("node label must be a non-empty string")
             if index is None:
@@ -230,9 +220,9 @@ class Hypergraph:
                 index = self._node_index[kind]
             node_id = index.get(label)
             if node_id is None:
-                node_id = index[label] = len(nodes)
-                nodes.append(Node(node_id, kind, label))
-            ids[i] = node_id
+                node_id = index[label] = len(self.nodes)
+                self.nodes.append(Node(node_id, kind, label))
+            ids.append(node_id)
         return ids
 
     def add_edge(

@@ -64,9 +64,9 @@ calls random() and picks against the cumulative weights. A call is not
 always one word of the bit generator: numpy's integers(1) returns 0 and
 reads nothing, and integers(k) redraws a 32-bit word whenever Lemire's
 method rejects it. `rws` reads the stream in blocks (`BlockDraws`), one
-kind per stream. The first block holds min(draw budget, 1024) items and
-each later one min(draw budget left, 4096), so a ranking that locks up
-after a few steps makes no 4096-item block. random() comes from
+kind per stream. Each block holds min(draw budget left, 1024) items, and
+one item once the budget is spent, so a ranking that locks up after a few
+steps reads at most 1024 items ahead. random() comes from
 Generator.random(n), integers(k) by numpy's Lemire method over words from
 Generator.integers(0, 2**32, size=n, dtype=uint32). Every call returns
 what the same call on the Generator would, so the values drawn are the
@@ -193,8 +193,7 @@ def make_stream(rng_seed: int, query: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-BLOCK_ITEMS = 4096
-FIRST_BLOCK_ITEMS = 1024  # a ranking that locks up early reads only this far ahead
+BLOCK_ITEMS = 1024  # a ranking that locks up early reads only this far ahead
 _WORDS = 1 << 32
 
 
@@ -203,9 +202,9 @@ class BlockDraws:
 
     `random()` and `integers(k)` return exactly what the same calls on the
     Generator would. A reader serves only the kind it was made for; the
-    other raises InternalError. Of the block sizes (module docstring), the
-    budget (the most calls the caller can make) bounds what a short stream
-    reads ahead, 1024 what one that stops early does, and 4096 the memory.
+    other raises InternalError. The budget (the most calls the caller can
+    make) bounds what a short stream reads ahead, and the block size (module
+    docstring) what one that stops early does and the memory.
     """
 
     __slots__ = ("random", "_word")
@@ -239,12 +238,10 @@ class BlockDraws:
 
 
 def _blocks(read: Callable[[int], np.ndarray], budget: int) -> Iterator:
-    """The items of read(n) blocks: n = min(budget, FIRST_BLOCK_ITEMS, BLOCK_ITEMS)
-    first, then n = min(budget left, BLOCK_ITEMS), and 1 once the budget is spent."""
-    first = min(max(budget, 0), FIRST_BLOCK_ITEMS, BLOCK_ITEMS)
-    full, rest = divmod(max(budget, 0) - first, BLOCK_ITEMS)
-    sizes = chain((first,) if first else (), repeat(BLOCK_ITEMS, full), (rest,) if rest else (),
-                  repeat(1))
+    """The items of read(n) blocks: n = min(budget left, BLOCK_ITEMS), and 1 once the
+    budget is spent."""
+    full, rest = divmod(max(budget, 0), BLOCK_ITEMS)
+    sizes = chain(repeat(BLOCK_ITEMS, full), (rest,) if rest else (), repeat(1))
     return chain.from_iterable(map(lambda n: read(n).tolist(), sizes))
 
 

@@ -7,8 +7,8 @@ two-column tab-separated "topicId<TAB>query" file.
 Every line-based input (runs, qrels, topics, the corpus and the synonym
 lexicon) is read by `read_lines`: blank lines are skipped, line numbers
 count every line from 1, blank ones included, and a file that is not
-UTF-8 is a FormatError naming it. An error in a line names it as
-`path:line`.
+UTF-8 is a FormatError naming it. A byte order mark at the start of a
+file is dropped. An error in a line names it as `path:line`.
 """
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ from .errors import FormatError, InputError
 
 @contextmanager
 def open_text(path: str) -> Iterator[TextIO]:
-    """Open a UTF-8 text input; bytes that are not UTF-8 raise FormatError naming path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Open a UTF-8 text input, dropping a leading byte order mark; bytes that are not
+    UTF-8 raise FormatError naming path."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

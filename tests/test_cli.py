@@ -423,6 +423,24 @@ def test_sweep_and_evaluate_score_a_topic_that_ranks_nothing_as_0(tmp_path, caps
         "warning: topic 'q2' has no ranking, scored 0"]
 
 
+def test_a_byte_order_mark_is_no_part_of_the_first_topic_search_writes(tmp_path, capsys):
+    inputs = {
+        "corpus.jsonl": '{"id": "d1", "text": "alpha beta"}\n{"id": "d2", "text": "beta gamma"}\n',
+        "topics.tsv": "q1\talpha\nq2\tgamma\n",
+        "qrels.txt": "q1 0 d1 1\nq2 0 d2 1\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+    corpus, topics, qrels, run = (str(tmp_path / name) for name in [*inputs, "run.txt"])
+    assert cli.main(["search", "--corpus", corpus, "--topics", topics, "--repeats", "50",
+                     "--out", run]) == 0
+    capsys.readouterr()
+    assert {line.split()[0] for line in open(run, encoding="utf-8")} == {"q1", "q2"}
+    assert cli.main(["evaluate", "--run", run, "--qrels", qrels]) == 0
+    captured = capsys.readouterr()
+    assert (keyvals(captured.out)["map"], captured.err) == ("1.000000", "")
+
+
 def test_sweep_and_evaluate_score_the_first_run_k_documents(workspace, capsys, monkeypatch):
     corpus, topics, qrels, run = (
         str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "run.txt"))

@@ -204,14 +204,18 @@ def test_non_utf8_corpus_exits_2(workspace, capsys, command):
 def test_non_utf8_input_names_its_file(workspace, capsys, reader):
     bad = workspace / f"bad-{reader}.txt"
     bad.write_bytes(b"t1\tcaf\xff\n")
-    corpus, topics, qrels, out = (
-        str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "x.hgoe")
+    (workspace / "lexicon.tsv").write_text("solar\tsun\n", encoding="utf-8")
+    (workspace / "vectors.txt").write_text("1 2\nsolar 1 0\n", encoding="utf-8")
+    corpus, topics, qrels, out, lexicon, vectors = (
+        str(workspace / name)
+        for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "x.hgoe", "lexicon.tsv",
+                     "vectors.txt")
     )
     argv = {
         "lexicon": ["index", "--corpus", corpus, "--variant", "syns-context",
-                    "--lexicon", str(bad), "--out", out],
+                    "--lexicon", str(bad), "--embeddings", vectors, "--out", out],
         "embeddings": ["index", "--corpus", corpus, "--variant", "syns-context",
-                       "--embeddings", str(bad), "--out", out],
+                       "--lexicon", lexicon, "--embeddings", str(bad), "--out", out],
         "topics": ["search", "--corpus", corpus, "--topics", str(bad)],
         "qrels": ["sweep", "--corpus", corpus, "--topics", topics, "--qrels", str(bad)],
         "run": ["evaluate", "--run", str(bad), "--qrels", qrels],
@@ -232,6 +236,35 @@ def test_sweep_checks_k_before_indexing(workspace, capsys, monkeypatch):
         "--k", "0",
     ]) == 2
     assert "k must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["index", "search", "sweep", "compare"])
+@pytest.mark.parametrize("given, missing", [
+    ((), "--lexicon and --embeddings"), (("--lexicon",), "--embeddings"),
+    (("--embeddings",), "--lexicon"),
+], ids=["neither", "lexicon", "embeddings"])
+def test_an_enriched_variant_needs_both_files_before_any_source_is_read(
+        workspace, capsys, monkeypatch, command, given, missing):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} read a source before checking --lexicon and --embeddings")
+
+    for name in ("load_corpus", "load_synonyms", "load_embeddings", "index_corpus"):
+        monkeypatch.setattr(cli, name, refuse)
+    corpus, topics, qrels = (
+        str(workspace / name) for name in ("corpus.jsonl", "topics.tsv", "qrels.txt"))
+    argv = {
+        "index": ["index", "--corpus", corpus, "--variant", "weighted",
+                  "--out", str(workspace / "x.hgoe")],
+        "search": ["search", "--corpus", corpus, "--topics", topics, "--variant", "weighted"],
+        "sweep": ["sweep", "--corpus", corpus, "--topics", topics, "--qrels", qrels,
+                  "--variants", "base", "weighted"],
+        "compare": ["compare", "--corpus", corpus, "--topics", topics, "--variant", "weighted",
+                    "--engine-a", "rws", "--engine-b", "bm25"],
+    }[command]
+    # the files do not exist, so opening either would exit 2 with another error
+    files = [token for flag in given for token in (flag, str(workspace / f"missing{flag}"))]
+    assert cli.main([*argv, *files]) == 2
+    assert capsys.readouterr() == ("", f"error: variant weighted needs {missing}\n")
 
 
 @pytest.mark.parametrize("engine_b", ["rws", "bm25"])

@@ -153,6 +153,15 @@ def test_upsert_nodes_matches_one_upsert_node_per_label(batches):
             batched.freeze()
 
 
+def test_upsert_nodes_takes_a_kind_value_for_labels_already_in_the_graph():
+    g = Hypergraph()
+    a, b = g.upsert_nodes(NodeKind.TERM, ["a", "b"])
+    entity = g.upsert_node(NodeKind.ENTITY, "a")
+    assert g.upsert_nodes(0, ["b", "a", "b"]) == [b, a, b]
+    assert g.upsert_nodes(1, ["a"]) == [entity]
+    assert len(g.nodes) == 3
+
+
 def test_node_id_takes_a_node_kind_or_its_value():
     g = Hypergraph()
     t = g.upsert_node(NodeKind.TERM, "x")
@@ -715,6 +724,25 @@ def test_unsupported_version_rejected(tmp_path):
             Hypergraph.load(str(path))
         assert str(err.value).startswith(f"{path}: ")
         assert ("rebuild it with `hgoe index`" in str(err.value)) == (version in (1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("labels", [(), ("a", "b")], ids=["empty", "no-edges"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_graph_without_edges_loads_and_saves_back_to_the_same_bytes(tmp_path, variant, labels):
+    g = Hypergraph(variant)
+    g.upsert_nodes(NodeKind.TERM, labels)
+    g.upsert_nodes(NodeKind.ENTITY, labels[:1])
+    if variant is Variant.WEIGHTED:
+        for node in g.nodes:
+            node.weight = 0.5
+    g.freeze()
+    path, again = tmp_path / "g.hgoe", tmp_path / "again.hgoe"
+    g.save(str(path))
+    loaded = Hypergraph.load(str(path))
+    assert loaded.structurally_equal(g)
+    assert loaded.edges == [] and loaded.walk_table == [()] * len(g.nodes)
+    loaded.save(str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _width_graph(node_count):

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from hgoe import FormatError, InputError
-from hgoe.indexer import load_corpus, load_synonyms
+from hgoe import FormatError, InputError, cli
+from hgoe.indexer import load_corpus, load_embeddings, load_synonyms
 from hgoe.trec import format_run_lines, read_qrels, read_run, read_topics, write_run
 
 
@@ -164,3 +164,21 @@ def test_a_line_based_reader_names_a_bad_line_after_blank_ones_by_its_own_number
     path.write_text(f"{good}\n\n \t\n{bad}\n", encoding="utf-8")
     with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
         reader(str(path))
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_run, "t1 Q0 d1 1 0.5 tag\n"),
+    (read_qrels, "t1 0 d1 1\n"),
+    (read_topics, "t1\tquery\n"),
+    (load_corpus, '{"id": "d1", "text": "a"}\n'),
+    (load_synonyms, "sun\tstar\n"),
+    (lambda path: {word: list(vector) for word, vector in load_embeddings(path).items()},
+     "1 2\nsun 1 0\n"),
+    (lambda path: cli._parse_args(["index", "--config", path]).corpus, '{"corpus": "c.jsonl"}'),
+], ids=["run", "qrels", "topics", "corpus", "lexicon", "embeddings", "config"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, reader, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert reader(str(plain))
+    assert reader(str(marked)) == reader(str(plain))
